@@ -32,14 +32,6 @@
 //! the learned-universe sizes — a regression in pruning power shows up
 //! as workload drift in `--bench-check`.
 //!
-//! Every *parallel* cell (`threads > 1`) additionally has a `-batched`
-//! twin that runs the two-dimensional (pattern-window × fault-shard)
-//! work-stealing schedule — window 32, stealing on, 2× oversharded, the
-//! CLI's `--batch-windows 32 --steal` — so the drift gate also pins the
-//! scheduler's determinism: its `events` and `detected` counters must
-//! match the baseline exactly even though the steal schedule varies run
-//! to run.
-//!
 //! Each circuit also carries a `csim-MV-incremental` and a
 //! `csim-T-incremental` cell: a scripted dead-logic edit is applied, the
 //! change-impact analysis splits the edited circuit's uncollapsed
@@ -71,8 +63,7 @@ use cfs_check::{
     ImplicationGraph, LearnOptions,
 };
 use cfs_core::{
-    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
-    ParallelTransitionSim, ShardPlan, TransitionSim,
+    Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, ParallelSim, ShardPlan, TransitionSim,
 };
 use cfs_faults::{
     collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus, ImpactUniverse,
@@ -80,9 +71,7 @@ use cfs_faults::{
 };
 use cfs_logic::Logic;
 use cfs_netlist::{apply_edit, BenchEdit, Circuit};
-use cfs_telemetry::{
-    write_json_f64, write_json_string, JsonValue, MetricsSnapshot, Phase, SimMetrics,
-};
+use cfs_telemetry::{write_json_f64, write_json_string, JsonValue, MetricsSnapshot, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -310,152 +299,6 @@ fn run_stuck(
         detected,
         peak_elements,
         peak_arena_bytes,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Window size for the `-batched` twin cells (the CLI's
-/// `--batch-windows 32 --steal`).
-const BATCH_WINDOW: usize = 32;
-
-fn batch_options() -> BatchOptions {
-    BatchOptions {
-        window: BATCH_WINDOW,
-        steal: true,
-        ..BatchOptions::default()
-    }
-}
-
-/// The `-batched` twin of a parallel [`run_stuck`] cell: the same fault
-/// universe under the two-dimensional (pattern-window × fault-shard)
-/// work-stealing schedule, 2× oversharded so stealing has slack.
-fn run_stuck_batched(
-    circuit: &Circuit,
-    variant: CsimVariant,
-    threads: usize,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let faults = collapse_stuck_at(circuit).representatives;
-    let batch = batch_options();
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = ParallelSim::with_probes_sharded(
-            circuit,
-            &faults,
-            variant.options(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| NullProbe,
-        );
-        let start = Instant::now();
-        sim.run_batched(patterns, &batch);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let phases = {
-        let mut sim = ParallelSim::with_probes_sharded(
-            circuit,
-            &faults,
-            variant.options(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| SimMetrics::new(),
-        );
-        sim.run_batched(patterns, &batch);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}-batched", variant.name()),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// The `-batched` twin of [`run_transition`]: fault-sharded and
-/// pattern-windowed under the work-stealing schedule.
-fn run_transition_batched(
-    circuit: &Circuit,
-    threads: usize,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let faults = enumerate_transition(circuit);
-    let batch = batch_options();
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
-            circuit,
-            &faults,
-            Default::default(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| NullProbe,
-        );
-        let start = Instant::now();
-        sim.run_batched(patterns, &batch);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let phases = {
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
-            circuit,
-            &faults,
-            Default::default(),
-            threads,
-            threads * 2,
-            ShardPlan::RoundRobin,
-            None,
-            |_| SimMetrics::new(),
-        );
-        sim.run_batched(patterns, &batch);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: "csim-T-batched".to_owned(),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
         memory_bytes,
         phase_seconds: phases,
     }
@@ -912,9 +755,8 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
 }
 
 /// Runs the whole harness: every circuit × the four stuck-at variants ×
-/// every thread count (each with its `-pruned` twin, and a `-batched`
-/// twin for parallel cells), plus one serial `csim-T` row, its `-pruned`
-/// twin, one batched transition cell, the serial `csim-MV-learned` /
+/// every thread count (each with its `-pruned` twin), plus one serial
+/// `csim-T` row, its `-pruned` twin, the serial `csim-MV-learned` /
 /// `csim-T-learned` cells, the two `-incremental` cells, and the
 /// quiescence trio (`csim-MV-hold` / `-quiesce` / `-resume`) per
 /// circuit.
@@ -947,15 +789,6 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
                     config.repeats,
                     "-pruned",
                 ));
-                if threads > 1 {
-                    runs.push(run_stuck_batched(
-                        &circuit,
-                        variant,
-                        threads,
-                        &patterns,
-                        config.repeats,
-                    ));
-                }
             }
         }
         runs.push(run_stuck_pruned(
@@ -982,14 +815,6 @@ pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
             config.repeats,
             "-learned",
         ));
-        if let Some(&threads) = config.threads.iter().filter(|&&t| t > 1).max() {
-            runs.push(run_transition_batched(
-                &circuit,
-                threads,
-                &patterns,
-                config.repeats,
-            ));
-        }
         runs.push(run_stuck_incremental(&circuit, &patterns, config.repeats));
         runs.push(run_transition_incremental(
             &circuit,
@@ -1383,52 +1208,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_twins_ride_parallel_cells_and_match_plain_detections() {
-        let config = PerfConfig {
-            threads: vec![1, 2],
-            ..tiny_config()
-        };
-        let runs = run_perf(&config);
-        let batched: Vec<_> = runs
-            .iter()
-            .filter(|r| r.variant.ends_with("-batched"))
-            .collect();
-        // One per stuck-at variant at t2, plus one transition cell.
-        assert_eq!(
-            batched.len(),
-            5,
-            "{:?}",
-            batched.iter().map(|r| r.key()).collect::<Vec<_>>()
-        );
-        for twin in &batched {
-            assert_eq!(
-                twin.threads,
-                2,
-                "{}: batched cells are parallel",
-                twin.key()
-            );
-            let plain_variant = twin.variant.trim_end_matches("-batched");
-            // csim-T has no parallel plain cell; its reference is serial.
-            let plain_threads = if plain_variant == "csim-T" { 1 } else { 2 };
-            let plain = runs
-                .iter()
-                .find(|r| r.variant == plain_variant && r.threads == plain_threads)
-                .unwrap_or_else(|| panic!("{}: no plain twin", twin.key()));
-            assert_eq!(
-                twin.detected,
-                plain.detected,
-                "{}: the 2-D schedule changed detections",
-                twin.key()
-            );
-        }
-        // Keys stay unique with the new twins in the document.
-        let mut keys: Vec<String> = runs.iter().map(PerfRun::key).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), runs.len(), "duplicate run keys");
-    }
-
-    #[test]
     fn quiesce_trio_agrees_on_detections_and_full_run_counters() {
         let runs = run_perf(&tiny_config());
         let hold = runs.iter().find(|r| r.variant == "csim-MV-hold").unwrap();
@@ -1470,8 +1249,10 @@ mod tests {
         // A shard holds a subset of the fault universe, so its widest
         // arena never exceeds the serial engine's.
         for t2 in runs.iter().filter(|r| r.threads == 2) {
-            let base = t2.variant.trim_end_matches("-batched");
-            if let Some(serial) = runs.iter().find(|r| r.variant == base && r.threads == 1) {
+            if let Some(serial) = runs
+                .iter()
+                .find(|r| r.variant == t2.variant && r.threads == 1)
+            {
                 assert!(
                     t2.peak_elements <= serial.peak_elements,
                     "{}: shard peak {} above serial {}",

@@ -335,19 +335,13 @@ pub fn check_models(circuit: &Circuit, prov: Option<&BenchProvenance>, report: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfs_core::{BatchOptions, CsimVariant, NullProbe, ParallelSim};
-    use cfs_logic::Logic;
 
-    fn p001_count(r: &Report) -> usize {
-        r.with_code(RuleCode::NonExactCoverShardPlan).count()
-    }
-
-    /// The `--steal` scheduler overshards 2x (shards = 2 * threads) so
-    /// idle workers have spare tasks to migrate. Those oversharded
-    /// partitions must pass P001 for every plan: an exact cover, balanced
-    /// to within one fault.
+    /// `ParallelSim::with_probes_sharded` accepts more shards than
+    /// workers (worker `w` owns shards `w, w + threads, …`). Those
+    /// oversharded partitions must pass P001 for every plan: an exact
+    /// cover, balanced to within one fault.
     #[test]
-    fn p001_accepts_oversharded_steal_partitions() {
+    fn p001_accepts_oversharded_partitions() {
         let c = cfs_netlist::generate::benchmark("s298g").expect("bundled benchmark");
         let col = collapse_stuck_at(&c);
         let levels = stuck_levels(&c, &col.representatives);
@@ -365,71 +359,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Stealing migrates tasks between workers but must never rewrite
-    /// which faults a shard owns: after a batched run with stealing on —
-    /// over both window settings the CLI exercises (0 = one window
-    /// spanning the run, and 16-pattern windows) — the engine's shard
-    /// fault maps still form an exact P001 cover of the universe.
-    #[test]
-    fn p001_holds_after_batched_runs_with_stealing() {
-        let c = cfs_netlist::generate::benchmark("s298g").expect("bundled benchmark");
-        let col = collapse_stuck_at(&c);
-        let patterns: Vec<Vec<Logic>> = (0..48)
-            .map(|p: usize| {
-                (0..c.num_inputs())
-                    .map(|i| Logic::from_bool((p * 31 + i * 7).is_multiple_of(3)))
-                    .collect()
-            })
-            .collect();
-        for window in [0usize, 16] {
-            let mut sim = ParallelSim::with_probes_sharded(
-                &c,
-                &col.representatives,
-                CsimVariant::Mv.options(),
-                4,
-                8,
-                ShardPlan::RoundRobin,
-                None,
-                |_| NullProbe,
-            );
-            let batch = BatchOptions {
-                window,
-                steal: true,
-                ..BatchOptions::default()
-            };
-            sim.run_batched(&patterns, &batch);
-            let parts: Vec<Vec<usize>> = sim.shard_probes().map(|(_, map)| map.to_vec()).collect();
-            assert_eq!(parts.len(), 8, "oversharded 2x over 4 workers");
-            let mut r = Report::new("t");
-            check_shard_partition("rr-steal", &parts, col.representatives.len(), &mut r);
-            assert!(
-                r.diagnostics.is_empty(),
-                "window {window}: {}",
-                r.render_text()
-            );
-        }
-    }
-
-    /// The rejection side, against partitions shaped like a buggy steal
-    /// scheduler would leave them: a task dropped mid-migration (lost
-    /// faults) and a task executed by both its home worker and the thief
-    /// (duplicated faults).
-    #[test]
-    fn p001_rejects_non_covers_from_broken_stealing() {
-        // Fault 5 lost in migration.
-        let mut r = Report::new("t");
-        check_shard_partition("rr-steal", &[vec![0, 2, 4], vec![1, 3]], 6, &mut r);
-        assert_eq!(p001_count(&r), 1, "{}", r.render_text());
-        // Shard 1's tasks double-executed by the thief.
-        let mut r = Report::new("t");
-        check_shard_partition(
-            "rr-steal",
-            &[vec![0, 2, 4], vec![1, 3, 5], vec![1, 3, 5]],
-            6,
-            &mut r,
-        );
-        assert!(p001_count(&r) >= 1, "{}", r.render_text());
     }
 }

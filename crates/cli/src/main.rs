@@ -9,7 +9,7 @@
 //! fsim sim <circuit> [--random N | --patterns FILE] [--variant base|v|m|mv|all]
 //!                    [--simulator csim|proofs|serial|deductive] [--uncollapsed]
 //!                    [--prune] [--threads N] [--shard-plan PLAN]
-//!                    [--batch-windows W] [--steal] [--quiesce-window W]
+//!                    [--quiesce-window W]
 //!                    [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]
 //!                    [--incremental --baseline-report FILE] [--baseline-out FILE]
 //!                    [--detections FILE] [--stats] [--stats-json FILE]
@@ -17,7 +17,7 @@
 //!                    [--trace-window W] [--no-check] [--paranoid]
 //! fsim transition <circuit> [--random N | --patterns FILE]
 //!                    [--prune] [--threads N] [--shard-plan PLAN]
-//!                    [--batch-windows W] [--steal] [--quiesce-window W]
+//!                    [--quiesce-window W]
 //!                    [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]
 //!                    [--incremental --baseline-report FILE] [--baseline-out FILE]
 //!                    [--detections FILE] [--stats] [--stats-json FILE]
@@ -43,17 +43,6 @@
 //! `--detections FILE` writes the deterministic detection list — one
 //! `pattern fault` line per detected fault, sorted by pattern then fault
 //! index — which is the artifact to diff across thread counts.
-//!
-//! `--batch-windows W` adds the second parallelism axis: the pattern
-//! sequence splits into windows of `W` patterns (`0` = one whole-run
-//! window), a 64-lane pattern-parallel good machine produces each
-//! window's settled traces, and (shard × window) tasks run under the
-//! work-stealing scheduler — a shard's windows stay in order because the
-//! shard engine carries the sequential DFF state across the boundary.
-//! `--steal` lets idle workers steal runnable shards (and overshards the
-//! fault universe 2× so there is spare work to take). Detections remain
-//! bit-identical to the serial simulator for every window size, thread
-//! count, and steal schedule.
 //!
 //! `fsim check` runs the `cfs-check` static analyses and prints the
 //! diagnostics (stable rule codes, severities, `.bench` line spans; JSON
@@ -105,7 +94,7 @@
 //! snapshot and replays only the remaining patterns, producing the same
 //! report as the uninterrupted run. Checkpointing captures one serial
 //! engine, so it needs `--threads 1`, a single `--variant`, and no
-//! `--batch-windows`/`--trace-out`.
+//! `--trace-out`.
 //!
 //! `fsim impact` runs the static change-impact analysis between two
 //! netlists: the structural diff (added/removed/retyped/rewired gates,
@@ -149,8 +138,8 @@ use cfs_check::{
     Severity,
 };
 use cfs_core::{
-    detections_of, BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe,
-    ParallelSim, ParallelTransitionSim, SchedStats, ShardPlan, TransitionOptions, TransitionSim,
+    detections_of, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
+    ParallelTransitionSim, ShardPlan, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
@@ -167,8 +156,7 @@ use cfs_telemetry::{
     JsonlWriter, Log2Histogram, MetricsSnapshot, PairProbe, Phase, SimMetrics,
 };
 use cfs_trace::{
-    write_chrome_trace_with_sched, FaultTimeline, Heatmap, SchedSpan, SchedSteal, SchedTrack,
-    TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
+    write_chrome_trace, FaultTimeline, Heatmap, TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
 };
 
 #[derive(Debug)]
@@ -261,7 +249,7 @@ fn print_usage() {
          \u{20}  fsim sim <circuit> [--random N | --patterns FILE] [--variant base|v|m|mv|all]\n\
          \u{20}                     [--simulator csim|proofs|serial|deductive] [--uncollapsed]\n\
          \u{20}                     [--prune] [--threads N] [--shard-plan PLAN]\n\
-         \u{20}                     [--batch-windows W] [--steal] [--quiesce-window W]\n\
+         \u{20}                     [--quiesce-window W]\n\
          \u{20}                     [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]\n\
          \u{20}                     [--incremental --baseline-report FILE] [--baseline-out FILE]\n\
          \u{20}                     [--detections FILE] [--stats] [--stats-json FILE]\n\
@@ -269,7 +257,7 @@ fn print_usage() {
          \u{20}                     [--trace-window W] [--no-check] [--paranoid]\n\
          \u{20}  fsim transition <circuit> [--random N | --patterns FILE]\n\
          \u{20}                     [--prune] [--threads N] [--shard-plan PLAN]\n\
-         \u{20}                     [--batch-windows W] [--steal] [--quiesce-window W]\n\
+         \u{20}                     [--quiesce-window W]\n\
          \u{20}                     [--checkpoint-every K --checkpoint-out DIR] [--resume-from FILE]\n\
          \u{20}                     [--incremental --baseline-report FILE] [--baseline-out FILE]\n\
          \u{20}                     [--detections FILE] [--stats] [--stats-json FILE]\n\
@@ -296,10 +284,6 @@ fn print_usage() {
          \u{20}             affect; the rest transfer from --baseline-report\n\
          --threads     fault-shard the concurrent simulator across N workers\n\
          --shard-plan  round-robin (default) | contiguous | level-aware | weight-aware\n\
-         --batch-windows  pattern-batch axis: windows of W patterns under the\n\
-         \u{20}             work-stealing scheduler (0 = one whole-run window)\n\
-         --steal       let idle workers steal runnable shards (overshards 2×;\n\
-         \u{20}             needs --batch-windows)\n\
          --quiesce-window  fence nodes untouched for more than W patterns out of\n\
          \u{20}             the per-pattern sweeps (0 = off; detections unchanged)\n\
          --checkpoint-every  snapshot engine state every K patterns (serial runs;\n\
@@ -366,8 +350,6 @@ const SIM_FLAGS: FlagSpec = &[
     ("--baseline-out", true),
     ("--threads", true),
     ("--shard-plan", true),
-    ("--batch-windows", true),
-    ("--steal", false),
     ("--quiesce-window", true),
     ("--checkpoint-every", true),
     ("--checkpoint-out", true),
@@ -394,8 +376,6 @@ const TRANSITION_FLAGS: FlagSpec = &[
     ("--baseline-out", true),
     ("--threads", true),
     ("--shard-plan", true),
-    ("--batch-windows", true),
-    ("--steal", false),
     ("--quiesce-window", true),
     ("--checkpoint-every", true),
     ("--checkpoint-out", true),
@@ -598,9 +578,6 @@ impl TelemetryOpts {
 struct ParallelOpts {
     threads: usize,
     plan: ShardPlan,
-    /// `--batch-windows` turns on the two-dimensional scheduler; `None`
-    /// keeps the historical fault-shard-only dispatch.
-    batch: Option<BatchOptions>,
     detections: Option<String>,
     /// `--baseline-out`: write a fate-baseline report for later
     /// `--incremental` runs once the run finishes.
@@ -632,24 +609,6 @@ impl ParallelOpts {
             })?,
             None => ShardPlan::RoundRobin,
         };
-        let batch = match flag_value(args, "--batch-windows") {
-            Some(v) => {
-                let window: usize = v.parse().map_err(|_| {
-                    err("--batch-windows needs a number (0 = one whole-run window)")
-                })?;
-                Some(BatchOptions {
-                    window,
-                    steal: has_flag(args, "--steal"),
-                    ..BatchOptions::default()
-                })
-            }
-            None => {
-                if has_flag(args, "--steal") {
-                    return Err(err("--steal needs --batch-windows"));
-                }
-                None
-            }
-        };
         let quiesce_window = match flag_value(args, "--quiesce-window") {
             Some(v) => v
                 .parse()
@@ -659,21 +618,11 @@ impl ParallelOpts {
         Ok(ParallelOpts {
             threads,
             plan,
-            batch,
             detections: flag_value(args, "--detections").map(str::to_owned),
             baseline_out: flag_value(args, "--baseline-out").map(str::to_owned),
             paranoid: has_flag(args, "--paranoid"),
             quiesce_window,
         })
-    }
-
-    /// Fault-shard count: `--steal` overshards 2× so idle workers have
-    /// spare runnable shards to take; otherwise one shard per worker.
-    fn shards(&self) -> usize {
-        match &self.batch {
-            Some(b) if b.steal => self.threads * 2,
-            _ => self.threads,
-        }
     }
 }
 
@@ -695,8 +644,8 @@ fn transition_options(par: &ParallelOpts) -> TransitionOptions {
 
 /// Pattern-granular checkpointing options (`--checkpoint-every`,
 /// `--checkpoint-out`, `--resume-from`). A checkpoint captures one
-/// serial engine at a pattern boundary, so the flags refuse the sharded,
-/// batched, and traced dispatches up front.
+/// serial engine at a pattern boundary, so the flags refuse the sharded
+/// and traced dispatches up front.
 struct CheckpointOpts {
     /// Snapshot cadence in patterns.
     every: Option<usize>,
@@ -740,9 +689,6 @@ impl CheckpointOpts {
                 return Err(err(
                     "checkpointing captures one serial engine; it needs --threads 1",
                 ));
-            }
-            if par.batch.is_some() {
-                return Err(err("checkpointing cannot combine with --batch-windows"));
             }
             if tel.trace_out.is_some() {
                 return Err(err("checkpointing cannot combine with --trace-out"));
@@ -1887,50 +1833,13 @@ fn merged_trace_progress(
 /// recorder, driven by one engine pass.
 type TraceProbe = PairProbe<SimMetrics, TraceRecorder>;
 
-/// Converts the scheduler's run record into the trace crate's worker
-/// tracks, shifting its task/steal timestamps (microseconds from
-/// scheduler start) onto the recorders' epoch by `offset_micros` so the
-/// tracks line up with the shard events.
-fn sched_track_of(stats: Option<&SchedStats>, offset_micros: u64) -> Option<SchedTrack> {
-    let st = stats?;
-    Some(SchedTrack {
-        workers: st.workers as u32,
-        spans: st
-            .spans
-            .iter()
-            .map(|s| SchedSpan {
-                worker: s.worker,
-                shard: s.shard,
-                window: s.window,
-                patterns: s.patterns,
-                start: s.start_micros + offset_micros,
-                end: s.end_micros + offset_micros,
-            })
-            .collect(),
-        steals: st
-            .steal_events
-            .iter()
-            .map(|e| SchedSteal {
-                worker: e.worker,
-                victim: e.victim,
-                shard: e.shard,
-                window: e.window,
-                ts: e.ts_micros + offset_micros,
-            })
-            .collect(),
-    })
-}
-
 /// Writes the Chrome Trace / Perfetto JSON document for a finished traced
 /// run: one track per shard (fault ids remapped local→global through each
-/// shard's map) plus the merged counter track, and — for batched runs —
-/// one worker track per scheduler thread with task spans and steal
-/// instants.
+/// shard's map) plus the merged counter track.
 fn write_trace_file(
     path: &str,
     process_name: &str,
     shards: &[(Vec<TraceEvent>, &[usize])],
-    sched: Option<&SchedTrack>,
     recorded: u64,
     dropped: u64,
 ) -> Result<(), Box<dyn std::error::Error>> {
@@ -1945,7 +1854,7 @@ fn write_trace_file(
         .collect();
     let file = fs::File::create(path).map_err(|e| err(format!("cannot write {path}: {e}")))?;
     let mut out = io::BufWriter::new(file);
-    write_chrome_trace_with_sched(&mut out, process_name, &tracks, sched)
+    write_chrome_trace(&mut out, process_name, &tracks)
         .and_then(|()| out.flush())
         .map_err(|e| err(format!("cannot write {path}: {e}")))?;
     if dropped > 0 {
@@ -1982,21 +1891,6 @@ fn print_stats_detail(snap: &MetricsSnapshot, metrics: &SimMetrics) {
         "{}",
         render_histogram("event-queue depth per level", &metrics.queue_depth_hist)
     );
-}
-
-/// One `--stats` line summarizing the two-dimensional scheduler's run.
-/// Batched runs only: plain `--threads N` output stays byte-identical to
-/// what it always was.
-fn print_sched_line(par: &ParallelOpts, stats: Option<&SchedStats>, shards: usize) {
-    if par.batch.is_none() {
-        return;
-    }
-    if let Some(st) = stats {
-        println!(
-            "  scheduler: {} windows × {shards} shards = {} tasks on {} workers, {} steals",
-            st.windows, st.tasks, st.workers, st.steals
-        );
-    }
 }
 
 /// Like [`print_stats_detail`], with the histograms merged across all
@@ -2097,7 +1991,7 @@ fn run_csim_stuck(
         }
         return run_csim_stuck_traced(c, faults, patterns, variants[0], tel, par, exp, keys);
     }
-    if par.threads > 1 || par.batch.is_some() {
+    if par.threads > 1 {
         return run_csim_stuck_sharded(c, faults, patterns, &variants, tel, par, exp, keys);
     }
     if !tel.enabled() && variants.len() == 1 {
@@ -2275,9 +2169,8 @@ fn run_csim_stuck_checkpointed(
     Ok(())
 }
 
-/// The `--threads N > 1` / `--batch-windows` path: fault-sharded engines
-/// over a shared good machine, optionally under the two-dimensional
-/// scheduler. `--trace-every` milestones merge the per-shard records into
+/// The `--threads N > 1` path: fault-sharded engines over a shared good
+/// machine. `--trace-every` milestones merge the per-shard records into
 /// one deterministic line per milestone (see [`merged_trace_progress`]);
 /// per-pattern JSON records stay a serial concept, so `--stats-json`
 /// carries only the merged summary record.
@@ -2296,12 +2189,11 @@ fn run_csim_stuck_sharded(
     let mut snaps = Vec::new();
     for &variant in variants {
         let mut report = if tel.enabled() {
-            let mut sim = ParallelSim::with_probes_sharded(
+            let mut sim = ParallelSim::with_probes(
                 c,
                 faults,
                 stuck_options(variant, par),
                 par.threads,
-                par.shards(),
                 par.plan,
                 keys,
                 |_| SimMetrics::new(),
@@ -2316,16 +2208,12 @@ fn run_csim_stuck_sharded(
                     merged_trace_progress(&shards, &mut progress, every, done, faults.len());
                 }
             };
-            let report = match &par.batch {
-                Some(b) => sim.run_batched_with(patterns, b, after),
-                None => sim.run_with(patterns, after),
-            };
+            let report = sim.run_with(patterns, after);
             let mut snap = sim.snapshot();
             snap.cpu_seconds = report.cpu.as_secs_f64();
             snap.phases.add(Phase::Check, tel.check_time);
             exp.stamp(&mut snap);
             if tel.stats {
-                print_sched_line(par, sim.sched_stats(), sim.num_shards());
                 print_stats_detail_sharded(&snap, sim.shard_metrics());
             }
             if let Some(w) = jsonl.as_mut() {
@@ -2335,12 +2223,11 @@ fn run_csim_stuck_sharded(
             snaps.push(snap);
             report
         } else {
-            let mut sim = ParallelSim::with_probes_sharded(
+            let mut sim = ParallelSim::with_probes(
                 c,
                 faults,
                 stuck_options(variant, par),
                 par.threads,
-                par.shards(),
                 par.plan,
                 keys,
                 |_| NullProbe,
@@ -2348,10 +2235,7 @@ fn run_csim_stuck_sharded(
             if par.paranoid {
                 sim.set_paranoid(true);
             }
-            match &par.batch {
-                Some(b) => sim.run_batched(patterns, b),
-                None => sim.run(patterns),
-            }
+            sim.run(patterns)
         };
         exp.expand(&mut report);
         print_report(&report);
@@ -2393,12 +2277,11 @@ fn run_csim_stuck_traced(
 ) -> Result<(), Box<dyn std::error::Error>> {
     // One epoch for every shard, so cross-track timestamps line up.
     let epoch = Instant::now();
-    let mut sim = ParallelSim::with_probes_sharded(
+    let mut sim = ParallelSim::with_probes(
         c,
         faults,
         stuck_options(variant, par),
         par.threads,
-        par.shards(),
         par.plan,
         keys,
         |_| -> TraceProbe {
@@ -2415,13 +2298,7 @@ fn run_csim_stuck_traced(
             merged_trace_progress(&shards, &mut progress, every, done, faults.len());
         }
     };
-    // Scheduler timestamps count from run start; measure that start on
-    // the recorders' epoch so the worker tracks line up with the shards.
-    let sched_offset = epoch.elapsed().as_micros() as u64;
-    let mut report = match &par.batch {
-        Some(b) => sim.run_batched_with(patterns, b, after),
-        None => sim.run_with(patterns, after),
-    };
+    let mut report = sim.run_with(patterns, after);
     exp.expand(&mut report);
     print_report(&report);
     verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
@@ -2450,19 +2327,14 @@ fn run_csim_stuck_traced(
     exp.stamp(&mut snap);
     snap.trace_events = sim.shard_probes().map(|(p, _)| p.1.recorded_events()).sum();
     snap.trace_dropped = sim.shard_probes().map(|(p, _)| p.1.dropped_events()).sum();
-    if let Some(st) = sim.sched_stats() {
-        snap.windows = st.windows as u64;
-        snap.steals = st.steals;
-    }
     if tel.stats {
-        print_sched_line(par, sim.sched_stats(), sim.num_shards());
         print_stats_detail_sharded(&snap, sim.shard_probes().map(|(p, _)| &p.0));
         println!();
         print!("{}", render_summary_table(std::slice::from_ref(&snap)));
     }
     let mut jsonl = open_jsonl(&tel.stats_json)?;
     if let Some(w) = jsonl.as_mut() {
-        if par.threads == 1 && par.batch.is_none() {
+        if par.threads == 1 {
             // The single shard ran the serial schedule, so its per-pattern
             // records are the serial records.
             let (p, _) = sim.shard_probes().next().expect("one shard");
@@ -2483,12 +2355,6 @@ fn run_csim_stuck_traced(
         .shard_probes()
         .map(|(p, map)| (p.1.events().copied().collect(), map))
         .collect();
-    // Worker tracks only for batched runs: the plain sharded document
-    // keeps its historical one-track-per-shard shape.
-    let sched = par
-        .batch
-        .as_ref()
-        .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset));
     let path = tel
         .trace_out
         .as_deref()
@@ -2497,7 +2363,6 @@ fn run_csim_stuck_traced(
         path,
         &format!("{} · {}", c.name(), report.simulator),
         &shard_data,
-        sched.as_ref(),
         snap.trace_events,
         snap.trace_dropped,
     )
@@ -2696,11 +2561,6 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 "--threads needs the concurrent simulator, not {other:?}"
             )))
         }
-        other if par.batch.is_some() => {
-            return Err(err(format!(
-                "--batch-windows needs the concurrent simulator, not {other:?}"
-            )))
-        }
         other if par.paranoid => {
             return Err(err(format!(
                 "--paranoid needs the concurrent simulator, not {other:?}"
@@ -2847,7 +2707,7 @@ fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if tel.trace_out.is_some() {
         return run_transition_traced(&c, &faults, &patterns, &tel, &par, exp, keys.as_deref());
     }
-    if par.threads > 1 || par.batch.is_some() {
+    if par.threads > 1 {
         return run_transition_sharded(&c, &faults, &patterns, &tel, &par, exp, keys.as_deref());
     }
     if !tel.enabled() {
@@ -3022,12 +2882,11 @@ fn run_transition_sharded(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let mut report = if tel.enabled() {
         let mut jsonl = open_jsonl(&tel.stats_json)?;
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
+        let mut sim = ParallelTransitionSim::with_probes(
             c,
             faults,
             transition_options(par),
             par.threads,
-            par.shards(),
             par.plan,
             keys,
             |_| SimMetrics::new(),
@@ -3042,16 +2901,12 @@ fn run_transition_sharded(
                 merged_trace_progress(&shards, &mut progress, every, done, faults.len());
             }
         };
-        let report = match &par.batch {
-            Some(b) => sim.run_batched_with(patterns, b, after),
-            None => sim.run_with(patterns, after),
-        };
+        let report = sim.run_with(patterns, after);
         let mut snap = sim.snapshot();
         snap.cpu_seconds = report.cpu.as_secs_f64();
         snap.phases.add(Phase::Check, tel.check_time);
         exp.stamp(&mut snap);
         if tel.stats {
-            print_sched_line(par, sim.sched_stats(), sim.num_shards());
             print_stats_detail_sharded(&snap, sim.shard_metrics());
             println!();
             print!("{}", render_summary_table(std::slice::from_ref(&snap)));
@@ -3063,12 +2918,11 @@ fn run_transition_sharded(
         close_jsonl(jsonl, &tel.stats_json)?;
         report
     } else {
-        let mut sim = ParallelTransitionSim::with_probes_sharded(
+        let mut sim = ParallelTransitionSim::with_probes(
             c,
             faults,
             transition_options(par),
             par.threads,
-            par.shards(),
             par.plan,
             keys,
             |_| NullProbe,
@@ -3076,10 +2930,7 @@ fn run_transition_sharded(
         if par.paranoid {
             sim.set_paranoid(true);
         }
-        match &par.batch {
-            Some(b) => sim.run_batched(patterns, b),
-            None => sim.run(patterns),
-        }
+        sim.run(patterns)
     };
     exp.expand(&mut report);
     print_report(&report);
@@ -3108,12 +2959,11 @@ fn run_transition_traced(
     keys: Option<&[u32]>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let epoch = Instant::now();
-    let mut sim = ParallelTransitionSim::with_probes_sharded(
+    let mut sim = ParallelTransitionSim::with_probes(
         c,
         faults,
         transition_options(par),
         par.threads,
-        par.shards(),
         par.plan,
         keys,
         |_| -> TraceProbe {
@@ -3130,11 +2980,7 @@ fn run_transition_traced(
             merged_trace_progress(&shards, &mut progress, every, done, faults.len());
         }
     };
-    let sched_offset = epoch.elapsed().as_micros() as u64;
-    let mut report = match &par.batch {
-        Some(b) => sim.run_batched_with(patterns, b, after),
-        None => sim.run_with(patterns, after),
-    };
+    let mut report = sim.run_with(patterns, after);
     exp.expand(&mut report);
     print_report(&report);
     verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
@@ -3161,19 +3007,14 @@ fn run_transition_traced(
     exp.stamp(&mut snap);
     snap.trace_events = sim.shard_probes().map(|(p, _)| p.1.recorded_events()).sum();
     snap.trace_dropped = sim.shard_probes().map(|(p, _)| p.1.dropped_events()).sum();
-    if let Some(st) = sim.sched_stats() {
-        snap.windows = st.windows as u64;
-        snap.steals = st.steals;
-    }
     if tel.stats {
-        print_sched_line(par, sim.sched_stats(), sim.num_shards());
         print_stats_detail_sharded(&snap, sim.shard_probes().map(|(p, _)| &p.0));
         println!();
         print!("{}", render_summary_table(std::slice::from_ref(&snap)));
     }
     let mut jsonl = open_jsonl(&tel.stats_json)?;
     if let Some(w) = jsonl.as_mut() {
-        if par.threads == 1 && par.batch.is_none() {
+        if par.threads == 1 {
             let (p, _) = sim.shard_probes().next().expect("one shard");
             emit_jsonl(w, &p.0, &snap)?;
         } else {
@@ -3192,10 +3033,6 @@ fn run_transition_traced(
         .shard_probes()
         .map(|(p, map)| (p.1.events().copied().collect(), map))
         .collect();
-    let sched = par
-        .batch
-        .as_ref()
-        .and_then(|_| sched_track_of(sim.sched_stats(), sched_offset));
     let path = tel
         .trace_out
         .as_deref()
@@ -3204,7 +3041,6 @@ fn run_transition_traced(
         path,
         &format!("{} · {}", c.name(), report.simulator),
         &shard_data,
-        sched.as_ref(),
         snap.trace_events,
         snap.trace_dropped,
     )

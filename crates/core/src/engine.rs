@@ -195,8 +195,14 @@ impl<P: Probe> Engine<P> {
             })
             .collect();
         // Permanent local elements: every fault starts invisible (value X ==
-        // good X) at its site.
+        // good X) at its site. Flip-flops are the exception: a stuck Q holds
+        // its stuck value from the very first cycle, before any clock edge,
+        // so their lists start as after a reset to the all-X state.
         for ni in 0..n as NodeId {
+            if matches!(eng.net.nodes[ni as usize].kind, NodeKind::Dff) {
+                eng.reset_dff_lists(ni);
+                continue;
+            }
             let mut b = ListBuilder::new();
             for &fid in eng.net.locals_of(ni) {
                 b.push(&mut eng.arena, fid, Logic::X);
@@ -278,45 +284,50 @@ impl<P: Probe> Engine<P> {
                 self.good[q as usize] = v;
                 self.schedule_fanouts(q);
             }
-            // Drop non-local state-diff elements; rebuild local elements
-            // against the new good value.
-            let old_vis = std::mem::replace(&mut self.vis_head[q as usize], NIL);
-            let old_inv = std::mem::replace(&mut self.inv_head[q as usize], NIL);
-            self.arena.free_list(old_vis);
-            self.arena.free_list(old_inv);
-            let good = self.good[q as usize];
-            // Two passes — the visible run must be sealed before the
-            // invisible run opens (one contiguous run at a time).
-            for pass in 0..2 {
-                let want_visible = pass == 0;
-                let mut b = ListBuilder::new();
-                for &fid in self.net.locals_of(q) {
-                    let d = &self.net.descriptors[fid as usize];
-                    if self.drop_detected && d.is_detected() {
-                        continue;
-                    }
-                    let v = match d.effect {
-                        // A stuck Q persists through reset.
-                        LocalEffect::OutputStuck(v) => v,
-                        // A stuck D pin re-latches its value only at the next
-                        // clock; the forced reset overrides it for now. Same
-                        // for transition faults at the D pin.
-                        LocalEffect::PinStuck { .. } | LocalEffect::TransitionPin { .. } => good,
-                        LocalEffect::FaultyLut(_) => {
-                            unreachable!("flip-flops host no functional faults")
-                        }
-                    };
-                    let visible = v != good || !self.split;
-                    if visible == want_visible {
-                        b.push(&mut self.arena, fid, v);
-                    }
+            self.reset_dff_lists(q);
+        }
+    }
+
+    /// Rebuilds flip-flop `q`'s fault lists as after a forced reset to its
+    /// current good value: non-local state-diff elements are dropped and
+    /// local elements are rebuilt against the good value.
+    fn reset_dff_lists(&mut self, q: NodeId) {
+        let old_vis = std::mem::replace(&mut self.vis_head[q as usize], NIL);
+        let old_inv = std::mem::replace(&mut self.inv_head[q as usize], NIL);
+        self.arena.free_list(old_vis);
+        self.arena.free_list(old_inv);
+        let good = self.good[q as usize];
+        // Two passes — the visible run must be sealed before the
+        // invisible run opens (one contiguous run at a time).
+        for pass in 0..2 {
+            let want_visible = pass == 0;
+            let mut b = ListBuilder::new();
+            for &fid in self.net.locals_of(q) {
+                let d = &self.net.descriptors[fid as usize];
+                if self.drop_detected && d.is_detected() {
+                    continue;
                 }
-                let head = b.finish(&mut self.arena);
-                if want_visible {
-                    self.vis_head[q as usize] = head;
-                } else {
-                    self.inv_head[q as usize] = head;
+                let v = match d.effect {
+                    // A stuck Q persists through reset.
+                    LocalEffect::OutputStuck(v) => v,
+                    // A stuck D pin re-latches its value only at the next
+                    // clock; the forced reset overrides it for now. Same
+                    // for transition faults at the D pin.
+                    LocalEffect::PinStuck { .. } | LocalEffect::TransitionPin { .. } => good,
+                    LocalEffect::FaultyLut(_) => {
+                        unreachable!("flip-flops host no functional faults")
+                    }
+                };
+                let visible = v != good || !self.split;
+                if visible == want_visible {
+                    b.push(&mut self.arena, fid, v);
                 }
+            }
+            let head = b.finish(&mut self.arena);
+            if want_visible {
+                self.vis_head[q as usize] = head;
+            } else {
+                self.inv_head[q as usize] = head;
             }
         }
     }

@@ -37,21 +37,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod batch;
 mod checkpoint;
 mod delay_mode;
 mod engine;
 mod list;
 mod network;
 mod parallel;
-mod pargood;
 mod sched;
 mod stuck;
 mod transition;
 
-pub use batch::{
-    seeded_schedule, window_bounds, BatchOptions, SchedStats, StealEvent, TaskSpan, DEFAULT_WINDOW,
-};
 pub use checkpoint::{Checkpoint, CheckpointError, Model as CheckpointModel};
 pub use delay_mode::DelayCsim;
 pub use list::{Arena, FaultElement, ListBuilder, ListIter, NIL, TERMINAL_FAULT};

@@ -13,36 +13,27 @@
 //!   engine and its settled node values are shared read-only with every
 //!   shard (`Engine::propagate_with`), eliminating the per-shard
 //!   redundancy of re-simulating the identical good machine,
-//! * the pattern sequence is split into **windows**
-//!   ([`BatchOptions::window`]), and (shard × window) tasks run on a
-//!   work-stealing scheduler ([`crate::batch`]): per-worker deques,
-//!   idle workers stealing runnable shards, the caller's thread
-//!   producing good traces with bounded lookahead — so a long-pole
-//!   shard no longer bounds wall time the way the old per-block barrier
-//!   did,
-//! * sequential DFF/arena state hands off at window boundaries by
-//!   construction: each shard's engine carries its own state, and the
-//!   scheduler runs a shard's windows strictly in order,
-//! * [`ParallelSim::run_batched`] additionally swaps the scalar good
-//!   machine for the 64-lane pattern-parallel [`crate::pargood`] good
-//!   machine (PPSFP's DFFs-as-pseudo-inputs trick),
+//! * the caller's thread steps that good engine and sends each block of
+//!   128 good traces, behind an `Arc`, to every worker through a
+//!   bounded channel (a few blocks of lookahead, so trace memory stays
+//!   flat however long the run); worker `w` owns shards `w`, `w + T`, …
+//!   and advances each over the block in pattern order,
 //! * results merge deterministically — statuses by global fault index,
 //!   detections sorted by `(pattern, fault id)` — so the output is
-//!   bit-identical for any (window size, thread count, steal schedule),
-//!   including `P = 1`, which skips the good-trace machinery entirely
-//!   and runs today's serial path.
+//!   bit-identical for any thread count and shard plan, including
+//!   `P = 1`, which skips the good-trace machinery entirely and runs the
+//!   serial path.
 //!
 //! Determinism needs no locks because fault detection is a per-fault fact:
 //! whether (and at which pattern) fault `f` is detected depends only on
 //! the circuit, the pattern sequence, and `f` itself — never on which
-//! other faults share its engine, which worker runs it, or how its
-//! pattern sequence is windowed (the traces a window consumes are the
-//! same values the serial good machine computes, and the engine state a
-//! window starts from is exactly the state the previous window
-//! committed).
+//! other faults share its engine or which worker runs it (the traces a
+//! shard consumes are the same values the serial good machine computes,
+//! and each shard sees its patterns in order).
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cfs_faults::{FaultSimReport, FaultStatus, StuckAt, TransitionFault};
@@ -50,18 +41,18 @@ use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 
-use crate::batch::{run_windows, seeded_schedule, window_bounds, BatchOptions, SchedStats};
 use crate::engine::Engine;
 use crate::network::{build_gate_network, build_macro_network};
-use crate::pargood::PackedGood;
 use crate::stuck::{ConcurrentSim, CsimOptions};
 use crate::transition::{TransitionOptions, TransitionSim};
 
-/// Patterns per good-trace window on the default `run` path (also the
-/// serial path's progress-callback granularity). Equal to
-/// [`crate::batch::DEFAULT_WINDOW`]: bounds live trace memory while
-/// keeping scheduling overhead rare.
-const BLOCK: usize = crate::batch::DEFAULT_WINDOW;
+/// Patterns per good-trace block (also the progress-callback
+/// granularity): bounds live trace memory while keeping channel traffic
+/// rare.
+const BLOCK: usize = 128;
+
+/// Blocks of good traces a worker's channel may hold ahead of it.
+const LOOKAHEAD: usize = 4;
 
 /// How the fault list is split across shards.
 ///
@@ -269,89 +260,60 @@ fn assert_exact_cover(parts: &[Vec<usize>], n: usize) {
     );
 }
 
-/// Runs every `(shard × window)` task on the work-stealing scheduler.
+/// Advances every shard over `patterns` on `threads` workers.
 ///
-/// `good` produces traces on the caller's thread — scalar
-/// [`Engine::good_cycle`] per pattern by default, or the 64-lane
-/// [`PackedGood`] machine when `packed` — while `threads` workers drain
-/// shard deques, calling `step(shard, pattern, trace)` once per pattern of
-/// the task's window. Shards are handed to workers through uncontended
-/// `Mutex` slots: the scheduler runs a shard's windows strictly in order,
-/// so no two workers ever hold the same shard (each lock is a formality
-/// the type system demands, never a wait).
-///
-/// Determinism: per-shard work is identical to a serial walk of that
-/// shard over the full pattern sequence (same engine, same pattern order,
-/// same good traces), so merged results cannot depend on worker count or
-/// steal schedule.
-#[allow(clippy::too_many_arguments)]
-fn schedule_windows<S, F>(
+/// The calling thread steps the scalar good machine ([`Engine::good_cycle`])
+/// in pattern order and sends each block's traces to every worker; worker
+/// `w` owns shards `w, w + threads, …` and calls `step(shard, pattern,
+/// trace)` for each of them, block by block. Each shard therefore sees
+/// exactly the serial pattern order and good traces, so results cannot
+/// depend on the thread count. Returns once every worker has drained its
+/// channel; a worker panic propagates through the scope.
+fn dispatch<S, F>(
     threads: usize,
     good: &mut Engine,
     shards: &mut [S],
     patterns: &[Vec<Logic>],
-    bounds: &[(usize, usize)],
-    batch: &BatchOptions,
-    packed: bool,
     step: F,
-) -> SchedStats
-where
+) where
     S: Send,
     F: Fn(&mut S, &[Logic], &[Logic]) + Sync,
 {
-    let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
-    let slots: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
-    let run = |s: usize, w: usize, trace: &Vec<Vec<Logic>>| {
-        let mut shard = slots[s].lock().expect("uncontended shard slot");
-        let (lo, hi) = bounds[w];
-        for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-            step(&mut shard, p, t);
-        }
-    };
-    if packed {
-        let state: Vec<Logic> = good
-            .net
-            .dff_nodes
-            .iter()
-            .map(|&q| good.good[q as usize])
-            .collect();
-        let mut pg = PackedGood::new(&good.net, state);
-        let net = &good.net;
-        let stats = run_windows(
-            threads,
-            slots.len(),
-            &sizes,
-            batch.steal,
-            batch.steal_seed,
-            |w| {
-                let (lo, hi) = bounds[w];
-                pg.window_traces(net, &patterns[lo..hi])
-            },
-            run,
-        );
-        // Fold the pattern-parallel good work into the engine's counters
-        // and commit the post-run state so consecutive runs stay
-        // sequentially consistent with the scalar good machine.
-        good.good_evals += pg.scalar_evals + pg.packed_evals;
-        good.set_dff_state(&pg.state);
-        stats
-    } else {
-        run_windows(
-            threads,
-            slots.len(),
-            &sizes,
-            batch.steal,
-            batch.steal_seed,
-            |w| {
-                let (lo, hi) = bounds[w];
-                patterns[lo..hi]
-                    .iter()
-                    .map(|p| good.good_cycle(p))
-                    .collect()
-            },
-            run,
-        )
+    let workers = threads.min(shards.len());
+    let mut owned: Vec<Vec<&mut S>> = (0..workers).map(|_| Vec::new()).collect();
+    for (k, shard) in shards.iter_mut().enumerate() {
+        owned[k % workers].push(shard);
     }
+    let step = &step;
+    std::thread::scope(|scope| {
+        let senders: Vec<_> = owned
+            .into_iter()
+            .map(|mut mine| {
+                let (tx, rx) = sync_channel::<(usize, Arc<Vec<Vec<Logic>>>)>(LOOKAHEAD);
+                scope.spawn(move || {
+                    for (lo, traces) in rx {
+                        for shard in &mut mine {
+                            for (p, t) in patterns[lo..].iter().zip(traces.iter()) {
+                                step(shard, p, t);
+                            }
+                        }
+                    }
+                });
+                tx
+            })
+            .collect();
+        for (k, block) in patterns.chunks(BLOCK).enumerate() {
+            let traces: Arc<Vec<Vec<Logic>>> =
+                Arc::new(block.iter().map(|p| good.good_cycle(p)).collect());
+            for tx in &senders {
+                // A closed channel means its worker panicked; stop
+                // producing and let the scope re-raise that panic.
+                if tx.send((k * BLOCK, Arc::clone(&traces))).is_err() {
+                    return;
+                }
+            }
+        }
+    });
 }
 
 struct StuckShard<P: Probe> {
@@ -397,11 +359,9 @@ pub struct ParallelSim<P: Probe = NullProbe> {
     plan: ShardPlan,
     circuit_name: String,
     num_faults: usize,
-    /// Worker threads driving the scheduler (may differ from shard count
-    /// when oversharded for stealing headroom).
+    /// Worker threads (may differ from the shard count; worker `w`
+    /// owns shards `w, w + threads, …`).
     threads: usize,
-    /// Scheduler statistics of the most recent scheduled run.
-    sched: Option<SchedStats>,
 }
 
 impl<P: Probe> fmt::Debug for ParallelSim<P> {
@@ -508,10 +468,6 @@ impl ParallelSim<SimMetrics> {
         snap.circuit = self.circuit_name.clone();
         snap.events += self.good.events;
         snap.good_evals += self.good.good_evals;
-        if let Some(st) = &self.sched {
-            snap.windows = st.windows as u64;
-            snap.steals = st.steals;
-        }
         snap
     }
 
@@ -544,11 +500,8 @@ impl<P: Probe> ParallelSim<P> {
         )
     }
 
-    /// [`ParallelSim::with_probes`] with the two parallelism axes
-    /// decoupled: `shards` fault partitions driven by `threads` workers.
-    /// Oversharding (`shards > threads`) gives the work-stealing
-    /// scheduler spare tasks to migrate, so a long-pole shard no longer
-    /// pins wall time to one worker's pace.
+    /// [`ParallelSim::with_probes`] with `shards` fault partitions driven
+    /// by `threads` workers; worker `w` owns shards `w, w + threads, …`.
     ///
     /// # Panics
     ///
@@ -649,7 +602,6 @@ impl<P: Probe> ParallelSim<P> {
             circuit_name: circuit.name().to_owned(),
             num_faults: faults.len(),
             threads,
-            sched: None,
         }
     }
 
@@ -662,12 +614,6 @@ impl<P: Probe> ParallelSim<P> {
     /// constructed oversharded).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Scheduler statistics of the most recent scheduled run: task spans,
-    /// steal events, totals. `None` before any run and after serial runs.
-    pub fn sched_stats(&self) -> Option<&SchedStats> {
-        self.sched.as_ref()
     }
 
     /// The sharding plan in use.
@@ -734,11 +680,11 @@ impl<P: Probe + Send> ParallelSim<P> {
     }
 
     /// Like [`ParallelSim::run`], but calls `after_block(self, done)` on
-    /// the coordinating thread after each window of patterns settles on
+    /// the coordinating thread after each block of patterns settles on
     /// every shard (`done` = patterns completed so far). The callback sees
     /// quiescent shards, so it may read per-shard probes and merge them —
     /// the deterministic hook behind `--trace-every` progress under
-    /// `--threads N`. On scheduled runs the callbacks replay after the
+    /// `--threads N`. On sharded runs the callbacks replay after the
     /// workers finish; because probes record per-pattern, the merged view
     /// at each boundary is identical to a barriered run's.
     pub fn run_with(
@@ -746,10 +692,10 @@ impl<P: Probe + Send> ParallelSim<P> {
         patterns: &[Vec<Logic>],
         mut after_block: impl FnMut(&Self, usize),
     ) -> FaultSimReport {
+        let start = Instant::now();
+        let mut done = 0usize;
         if self.threads == 1 && self.shards.len() == 1 {
             // Serial path: identical to ConcurrentSim::run.
-            let start = Instant::now();
-            let mut done = 0usize;
             for block in patterns.chunks(BLOCK) {
                 for p in block {
                     self.shards[0].sim.engine.step_stuck(p);
@@ -757,119 +703,26 @@ impl<P: Probe + Send> ParallelSim<P> {
                 done += block.len();
                 after_block(self, done);
             }
-            self.report(patterns.len(), start.elapsed())
         } else {
-            // Scalar good traces in pattern order keep the good engine's
-            // counters bit-identical to the historical barriered path.
-            self.run_scheduled(patterns, &BatchOptions::default(), false, &mut after_block)
-        }
-    }
-
-    /// Runs under explicit [`BatchOptions`] with the 64-lane
-    /// pattern-parallel good machine producing window traces — the
-    /// two-dimensional (pattern-batch × fault-shard) mode. Detections are
-    /// bit-identical to [`ParallelSim::run`] and to the serial simulator
-    /// for any window size, thread count, and steal schedule.
-    pub fn run_batched(&mut self, patterns: &[Vec<Logic>], batch: &BatchOptions) -> FaultSimReport {
-        self.run_batched_with(patterns, batch, |_, _| {})
-    }
-
-    /// [`ParallelSim::run_batched`] with the per-window callback of
-    /// [`ParallelSim::run_with`].
-    pub fn run_batched_with(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        mut after_window: impl FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        self.run_scheduled(patterns, batch, true, &mut after_window)
-    }
-
-    /// Single-threaded replay of the deterministic steal interleaving
-    /// [`seeded_schedule`] derives from `schedule_seed` — every
-    /// `(shard × window)` task runs exactly once, shards in window order
-    /// but interleaved across shards according to the seed. Exists so
-    /// tests can prove merge output is independent of task interleaving
-    /// without relying on OS thread timing.
-    pub fn run_seeded(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        schedule_seed: u64,
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        {
-            let Self { shards, good, .. } = self;
-            let state: Vec<Logic> = good
-                .net
-                .dff_nodes
-                .iter()
-                .map(|&q| good.good[q as usize])
-                .collect();
-            let mut pg = PackedGood::new(&good.net, state);
-            let order = seeded_schedule(shards.len(), bounds.len(), schedule_seed);
-            let mut traces: Vec<Option<Vec<Vec<Logic>>>> = Vec::new();
-            traces.resize_with(bounds.len(), || None);
-            let mut remaining = vec![shards.len(); bounds.len()];
-            let mut produced = 0usize;
-            for (s, w) in order {
-                while produced <= w {
-                    let (lo, hi) = bounds[produced];
-                    traces[produced] = Some(pg.window_traces(&good.net, &patterns[lo..hi]));
-                    produced += 1;
-                }
-                let (lo, hi) = bounds[w];
-                let trace = traces[w].as_ref().expect("windows produce in order");
-                for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-                    shards[s].sim.engine.step_stuck_with(p, Some(t));
-                }
-                remaining[w] -= 1;
-                if remaining[w] == 0 {
-                    traces[w] = None; // same retirement rule as the scheduler
-                }
-            }
-            good.good_evals += pg.scalar_evals + pg.packed_evals;
-            good.set_dff_state(&pg.state);
-        }
-        self.sched = None;
-        self.report(patterns.len(), start.elapsed())
-    }
-
-    fn run_scheduled(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        packed: bool,
-        after_window: &mut dyn FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        let stats = {
             let Self {
                 shards,
                 good,
                 threads,
                 ..
             } = self;
-            schedule_windows(
+            dispatch(
                 *threads,
                 good,
                 shards,
                 patterns,
-                &bounds,
-                batch,
-                packed,
                 |shard: &mut StuckShard<P>, p, t| {
                     shard.sim.engine.step_stuck_with(p, Some(t));
                 },
-            )
-        };
-        self.sched = Some(stats);
-        let mut done = 0usize;
-        for &(lo, hi) in &bounds {
-            done += hi - lo;
-            after_window(self, done);
+            );
+            for block in patterns.chunks(BLOCK) {
+                done += block.len();
+                after_block(self, done);
+            }
         }
         self.report(patterns.len(), start.elapsed())
     }
@@ -963,10 +816,8 @@ pub struct ParallelTransitionSim<P: Probe = NullProbe> {
     plan: ShardPlan,
     circuit_name: String,
     num_faults: usize,
-    /// Worker threads driving the scheduler (see [`ParallelSim`]).
+    /// Worker threads (see [`ParallelSim`]).
     threads: usize,
-    /// Scheduler statistics of the most recent scheduled run.
-    sched: Option<SchedStats>,
 }
 
 impl<P: Probe> fmt::Debug for ParallelTransitionSim<P> {
@@ -1068,10 +919,6 @@ impl ParallelTransitionSim<SimMetrics> {
         snap.circuit = self.circuit_name.clone();
         snap.events += self.good.events;
         snap.good_evals += self.good.good_evals;
-        if let Some(st) = &self.sched {
-            snap.windows = st.windows as u64;
-            snap.steals = st.steals;
-        }
         snap
     }
 
@@ -1155,7 +1002,6 @@ impl<P: Probe> ParallelTransitionSim<P> {
             circuit_name: circuit.name().to_owned(),
             num_faults: faults.len(),
             threads,
-            sched: None,
         }
     }
 
@@ -1167,12 +1013,6 @@ impl<P: Probe> ParallelTransitionSim<P> {
     /// Fault-shard count (see [`ParallelSim::num_shards`]).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Scheduler statistics of the most recent scheduled run (see
-    /// [`ParallelSim::sched_stats`]).
-    pub fn sched_stats(&self) -> Option<&SchedStats> {
-        self.sched.as_ref()
     }
 
     /// The sharding plan in use.
@@ -1217,16 +1057,16 @@ impl<P: Probe + Send> ParallelTransitionSim<P> {
         self.run_with(patterns, |_, _| {})
     }
 
-    /// Like [`ParallelTransitionSim::run`], with a per-window callback on
+    /// Like [`ParallelTransitionSim::run`], with a per-block callback on
     /// the coordinating thread (see [`ParallelSim::run_with`]).
     pub fn run_with(
         &mut self,
         patterns: &[Vec<Logic>],
         mut after_block: impl FnMut(&Self, usize),
     ) -> FaultSimReport {
+        let start = Instant::now();
+        let mut done = 0usize;
         if self.threads == 1 && self.shards.len() == 1 {
-            let start = Instant::now();
-            let mut done = 0usize;
             for block in patterns.chunks(BLOCK) {
                 for p in block {
                     self.shards[0].sim.step(p);
@@ -1234,112 +1074,26 @@ impl<P: Probe + Send> ParallelTransitionSim<P> {
                 done += block.len();
                 after_block(self, done);
             }
-            self.report(patterns.len(), start.elapsed())
         } else {
-            self.run_scheduled(patterns, &BatchOptions::default(), false, &mut after_block)
-        }
-    }
-
-    /// Two-dimensional (pattern-batch × fault-shard) run (see
-    /// [`ParallelSim::run_batched`]). The transition model's two passes
-    /// consume the same settled good trace, so the pattern-parallel good
-    /// machine serves both.
-    pub fn run_batched(&mut self, patterns: &[Vec<Logic>], batch: &BatchOptions) -> FaultSimReport {
-        self.run_batched_with(patterns, batch, |_, _| {})
-    }
-
-    /// [`ParallelTransitionSim::run_batched`] with the per-window
-    /// callback of [`ParallelTransitionSim::run_with`].
-    pub fn run_batched_with(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        mut after_window: impl FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        self.run_scheduled(patterns, batch, true, &mut after_window)
-    }
-
-    /// Deterministic single-threaded replay of a seeded steal
-    /// interleaving (see [`ParallelSim::run_seeded`]).
-    pub fn run_seeded(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        schedule_seed: u64,
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        {
-            let Self { shards, good, .. } = self;
-            let state: Vec<Logic> = good
-                .net
-                .dff_nodes
-                .iter()
-                .map(|&q| good.good[q as usize])
-                .collect();
-            let mut pg = PackedGood::new(&good.net, state);
-            let order = seeded_schedule(shards.len(), bounds.len(), schedule_seed);
-            let mut traces: Vec<Option<Vec<Vec<Logic>>>> = Vec::new();
-            traces.resize_with(bounds.len(), || None);
-            let mut remaining = vec![shards.len(); bounds.len()];
-            let mut produced = 0usize;
-            for (s, w) in order {
-                while produced <= w {
-                    let (lo, hi) = bounds[produced];
-                    traces[produced] = Some(pg.window_traces(&good.net, &patterns[lo..hi]));
-                    produced += 1;
-                }
-                let (lo, hi) = bounds[w];
-                let trace = traces[w].as_ref().expect("windows produce in order");
-                for (p, t) in patterns[lo..hi].iter().zip(trace.iter()) {
-                    shards[s].sim.step_with(p, Some(t));
-                }
-                remaining[w] -= 1;
-                if remaining[w] == 0 {
-                    traces[w] = None;
-                }
-            }
-            good.good_evals += pg.scalar_evals + pg.packed_evals;
-            good.set_dff_state(&pg.state);
-        }
-        self.sched = None;
-        self.report(patterns.len(), start.elapsed())
-    }
-
-    fn run_scheduled(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        batch: &BatchOptions,
-        packed: bool,
-        after_window: &mut dyn FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let bounds = window_bounds(patterns.len(), batch.window);
-        let stats = {
             let Self {
                 shards,
                 good,
                 threads,
                 ..
             } = self;
-            schedule_windows(
+            dispatch(
                 *threads,
                 good,
                 shards,
                 patterns,
-                &bounds,
-                batch,
-                packed,
                 |shard: &mut TransitionShard<P>, p, t| {
                     shard.sim.step_with(p, Some(t));
                 },
-            )
-        };
-        self.sched = Some(stats);
-        let mut done = 0usize;
-        for &(lo, hi) in &bounds {
-            done += hi - lo;
-            after_window(self, done);
+            );
+            for block in patterns.chunks(BLOCK) {
+                done += block.len();
+                after_block(self, done);
+            }
         }
         self.report(patterns.len(), start.elapsed())
     }

@@ -199,10 +199,6 @@ impl SimMetrics {
             faults_transferred: 0,
             trace_events: 0,
             trace_dropped: 0,
-            // Scheduler facts: stamped by the parallel driver, never
-            // observed by a per-shard probe.
-            windows: 0,
-            steals: 0,
             phases: self.phases,
         }
     }

@@ -97,12 +97,6 @@ impl<W: Write> JsonlWriter<W> {
             push_u64(&mut line, "trace_events", s.trace_events);
             push_u64(&mut line, "trace_dropped", s.trace_dropped);
         }
-        if s.windows > 0 {
-            // Scheduler counters, present only for batched/scheduled runs
-            // so serial summaries keep their historical shape.
-            push_u64(&mut line, "windows", s.windows);
-            push_u64(&mut line, "steals", s.steals);
-        }
         if s.quiesce_skips > 0 || s.quiesce_wakes > 0 {
             // Quiescence-gating counters, present only for gated runs so
             // ungated summaries keep their historical shape.
@@ -365,24 +359,6 @@ mod tests {
         assert_eq!(calls.get("propagate").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(calls.get("detect").and_then(JsonValue::as_u64), Some(1));
         assert!(calls.get("latch_collect").is_none());
-    }
-
-    #[test]
-    fn summary_line_carries_scheduler_counters_only_when_windowed() {
-        let mut s = MetricsSnapshot::from_basic("csim-MV", "s27", 8, 20, 160, 500, 4096, 0.25);
-        let mut w = JsonlWriter::new(Vec::new());
-        w.write_summary(&s).unwrap();
-        let text = String::from_utf8(w.into_inner()).unwrap();
-        let v = JsonValue::parse(text.trim()).unwrap();
-        assert!(v.get("windows").is_none(), "serial shape unchanged");
-        s.windows = 4;
-        s.steals = 7;
-        let mut w = JsonlWriter::new(Vec::new());
-        w.write_summary(&s).unwrap();
-        let text = String::from_utf8(w.into_inner()).unwrap();
-        let v = JsonValue::parse(text.trim()).unwrap();
-        assert_eq!(v.get("windows").and_then(JsonValue::as_u64), Some(4));
-        assert_eq!(v.get("steals").and_then(JsonValue::as_u64), Some(7));
     }
 
     #[test]

@@ -90,13 +90,6 @@ pub struct MetricsSnapshot {
     /// Events the trace recorder discarded because its ring buffer was
     /// full (`0` when tracing was off or nothing overflowed).
     pub trace_dropped: u64,
-    /// Pattern windows the two-dimensional scheduler ran (`0` for serial
-    /// and unscheduled runs). Stamped by the driver from the scheduler's
-    /// run record — a run-level fact, like the pruning counters.
-    pub windows: u64,
-    /// Tasks migrated between workers by stealing (`0` when the
-    /// scheduler was off or never stole).
-    pub steals: u64,
     /// Per-phase wall times (all zero for basic snapshots).
     pub phases: PhaseTimes,
 }
@@ -207,10 +200,6 @@ impl MetricsSnapshot {
         // Per-shard recorders capture disjoint event streams: sum.
         self.trace_events += other.trace_events;
         self.trace_dropped += other.trace_dropped;
-        // Scheduler facts describe the run, not a shard: max keeps them
-        // stable no matter when the driver stamps them.
-        self.windows = self.windows.max(other.windows);
-        self.steals = self.steals.max(other.steals);
         self.phases.merge(&other.phases);
     }
 }

@@ -77,7 +77,7 @@ impl Phase {
 ///
 /// Wall time is machine- and schedule-dependent; the invocation counts
 /// are not — a phase runs a fixed number of times per (engine, pattern)
-/// regardless of thread count, window size, or steal schedule, which is
+/// regardless of thread count or shard plan, which is
 /// what lets merged multi-shard timings be sanity-checked: totals may
 /// wobble, counts must match the serial run exactly.
 #[derive(Debug, Clone, Copy, Default)]
@@ -103,8 +103,8 @@ impl PhaseTimes {
         self.totals[phase.index()]
     }
 
-    /// Times `phase` was recorded — invariant under sharding, windowing,
-    /// and steal schedule (unlike the wall-clock totals).
+    /// Times `phase` was recorded — invariant under sharding (unlike the
+    /// wall-clock totals).
     pub fn count(&self, phase: Phase) -> u64 {
         self.counts[phase.index()]
     }

@@ -26,53 +26,6 @@ pub struct TrackTrace<'a> {
     pub fault_map: Option<&'a [usize]>,
 }
 
-/// One executed (shard × window) task of the batched scheduler, on the
-/// worker that ran it. Mirrors the scheduler's own record type so the
-/// trace crate needs no dependency on the engine crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedSpan {
-    /// Worker that ran the task.
-    pub worker: u32,
-    /// Fault shard.
-    pub shard: u32,
-    /// Pattern window index.
-    pub window: u32,
-    /// Patterns in the window.
-    pub patterns: u32,
-    /// Start timestamp, microseconds on the recorders' epoch.
-    pub start: u64,
-    /// End timestamp, microseconds on the recorders' epoch.
-    pub end: u64,
-}
-
-/// One successful steal: `shard` migrated from `victim`'s deque to
-/// `worker`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedSteal {
-    /// Worker that stole.
-    pub worker: u32,
-    /// Worker whose deque was robbed.
-    pub victim: u32,
-    /// The shard that moved.
-    pub shard: u32,
-    /// The shard's next window at the time of the steal.
-    pub window: u32,
-    /// Timestamp, microseconds on the recorders' epoch.
-    pub ts: u64,
-}
-
-/// Scheduler activity of a batched run: one thread track per worker with
-/// its task spans, plus steal instants on the thief's track.
-#[derive(Debug, Clone, Default)]
-pub struct SchedTrack {
-    /// Worker thread count (tracks are emitted even for idle workers).
-    pub workers: u32,
-    /// Every executed task.
-    pub spans: Vec<SchedSpan>,
-    /// Every successful steal.
-    pub steals: Vec<SchedSteal>,
-}
-
 /// The fixed pid all tracks share (one fsim process).
 const PID: u32 = 1;
 
@@ -90,26 +43,6 @@ pub fn write_chrome_trace(
     process_name: &str,
     tracks: &[TrackTrace<'_>],
 ) -> io::Result<()> {
-    write_chrome_trace_with_sched(out, process_name, tracks, None)
-}
-
-/// [`write_chrome_trace`] plus optional scheduler worker tracks.
-///
-/// Worker `k` becomes thread `tracks.len() + 1 + k` (after the shard
-/// tracks), carrying one `cat:"task"` span per executed (shard × window)
-/// task and one `cat:"sched"` instant per successful steal — the
-/// at-a-glance view of load balance and steal traffic. Passing `None`
-/// emits exactly the historical document.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `out`.
-pub fn write_chrome_trace_with_sched(
-    out: &mut dyn Write,
-    process_name: &str,
-    tracks: &[TrackTrace<'_>],
-    sched: Option<&SchedTrack>,
-) -> io::Result<()> {
     let mut first = true;
     out.write_all(b"{\"traceEvents\":[\n")?;
     let mut emit = |out: &mut dyn Write, line: &str| -> io::Result<()> {
@@ -120,23 +53,13 @@ pub fn write_chrome_trace_with_sched(
         out.write_all(line.as_bytes())
     };
 
-    // Metadata: process name, one named thread per track, then (batched
-    // runs only) one named thread per scheduler worker.
+    // Metadata: process name, then one named thread per track.
     emit(out, &metadata_line(0, "process_name", process_name))?;
     for (i, track) in tracks.iter().enumerate() {
         emit(
             out,
             &metadata_line(i as u32 + 1, "thread_name", &track.label),
         )?;
-    }
-    let worker_tid = |worker: u32| tracks.len() as u32 + 1 + worker;
-    if let Some(s) = sched {
-        for k in 0..s.workers {
-            emit(
-                out,
-                &metadata_line(worker_tid(k), "thread_name", &format!("worker {k}")),
-            )?;
-        }
     }
 
     // Spans and instants, per track, in recording order.
@@ -150,42 +73,6 @@ pub fn write_chrome_trace_with_sched(
             if let Some(line) = event_line(tid, &e) {
                 emit(out, &line)?;
             }
-        }
-    }
-
-    // Scheduler worker tracks: one span per executed task on the worker
-    // that ran it, one instant per successful steal on the thief's track.
-    if let Some(s) = sched {
-        for span in &s.spans {
-            emit(
-                out,
-                &format!(
-                    "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{},\"ts\":{},\
-                     \"dur\":{},\"name\":\"task\",\"cat\":\"sched\",\
-                     \"args\":{{\"shard\":{},\"window\":{},\"patterns\":{}}}}}",
-                    worker_tid(span.worker),
-                    span.start,
-                    span.end.saturating_sub(span.start),
-                    span.shard,
-                    span.window,
-                    span.patterns
-                ),
-            )?;
-        }
-        for steal in &s.steals {
-            emit(
-                out,
-                &format!(
-                    "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"steal\",\"cat\":\"sched\",\
-                     \"args\":{{\"victim\":{},\"shard\":{},\"window\":{}}}}}",
-                    worker_tid(steal.worker),
-                    steal.ts,
-                    steal.victim,
-                    steal.shard,
-                    steal.window
-                ),
-            )?;
         }
     }
 
@@ -335,10 +222,6 @@ pub struct ChromeTraceStats {
     pub convergences: u64,
     /// Spans named `pattern`.
     pub pattern_spans: u64,
-    /// Spans named `task` (scheduler worker tracks).
-    pub task_spans: u64,
-    /// Instants named `steal` (scheduler worker tracks).
-    pub steal_instants: u64,
 }
 
 /// Parses and structurally validates a Chrome trace document produced by
@@ -374,10 +257,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
                     .and_then(JsonValue::as_u64)
                     .ok_or_else(|| format!("event {i}: span without dur"))?;
                 stats.spans += 1;
-                match name {
-                    "pattern" => stats.pattern_spans += 1,
-                    "task" => stats.task_spans += 1,
-                    _ => {}
+                if name == "pattern" {
+                    stats.pattern_spans += 1;
                 }
             }
             "i" => {
@@ -388,7 +269,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
                 match name {
                     "divergence" => stats.divergences += 1,
                     "convergence" => stats.convergences += 1,
-                    "steal" => stats.steal_instants += 1,
                     _ => {}
                 }
             }
@@ -463,66 +343,6 @@ mod tests {
         assert_eq!(stats.divergences, 1);
         assert_eq!(stats.convergences, 1);
         assert_eq!(stats.counters, 2, "live |F| and queue depth");
-    }
-
-    #[test]
-    fn sched_track_adds_worker_threads_tasks_and_steals() {
-        let events = sample_events();
-        let tracks = [TrackTrace {
-            label: "shard 0".to_string(),
-            events: &events,
-            fault_map: None,
-        }];
-        let sched = SchedTrack {
-            workers: 2,
-            spans: vec![
-                SchedSpan {
-                    worker: 0,
-                    shard: 0,
-                    window: 0,
-                    patterns: 8,
-                    start: 5,
-                    end: 9,
-                },
-                SchedSpan {
-                    worker: 1,
-                    shard: 0,
-                    window: 1,
-                    patterns: 8,
-                    start: 9,
-                    end: 12,
-                },
-            ],
-            steals: vec![SchedSteal {
-                worker: 1,
-                victim: 0,
-                shard: 0,
-                window: 1,
-                ts: 9,
-            }],
-        };
-        let mut buf = Vec::new();
-        write_chrome_trace_with_sched(&mut buf, "fsim test", &tracks, Some(&sched)).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let stats = validate_chrome_trace(&text).unwrap();
-        assert_eq!(stats.metadata, 4, "process + shard thread + 2 workers");
-        assert_eq!(stats.task_spans, 2);
-        assert_eq!(stats.steal_instants, 1);
-        // Worker tids come after the shard tids.
-        assert!(text.contains("\"tid\":2,\"name\":\"thread_name\""));
-        assert!(text.contains("worker 1"), "{text}");
-        assert!(text.contains("\"victim\":0"), "{text}");
-
-        // Passing None emits the historical document bit-for-bit.
-        let mut plain = Vec::new();
-        write_chrome_trace(&mut plain, "fsim test", &tracks).unwrap();
-        let mut none = Vec::new();
-        write_chrome_trace_with_sched(&mut none, "fsim test", &tracks, None).unwrap();
-        assert_eq!(plain, none);
-        let plain_stats = validate_chrome_trace(&String::from_utf8(plain).unwrap()).unwrap();
-        assert_eq!(plain_stats.task_spans, 0);
-        assert_eq!(plain_stats.steal_instants, 0);
-        assert_eq!(plain_stats.metadata, 2);
     }
 
     #[test]

@@ -40,10 +40,7 @@ mod heatmap;
 mod recorder;
 mod timeline;
 
-pub use chrome::{
-    validate_chrome_trace, write_chrome_trace, write_chrome_trace_with_sched, ChromeTraceStats,
-    SchedSpan, SchedSteal, SchedTrack, TrackTrace,
-};
+pub use chrome::{validate_chrome_trace, write_chrome_trace, ChromeTraceStats, TrackTrace};
 pub use event::{Micros, TraceEvent};
 pub use heatmap::Heatmap;
 pub use recorder::{NodeActivity, TraceConfig, TraceRecorder};

@@ -5,10 +5,10 @@
 
 use cfs_baselines::{DeductiveSim, ProofsSim, SerialSim};
 use cfs_core::{ConcurrentSim, CsimOptions, CsimVariant};
-use cfs_faults::{collapse_stuck_at, enumerate_stuck_at, StuckAt};
+use cfs_faults::{collapse_stuck_at, enumerate_stuck_at, FaultSite, FaultStatus, StuckAt};
 use cfs_logic::Logic;
 use cfs_netlist::generate::{benchmark, generate, CircuitSpec};
-use cfs_netlist::{data::s27, Circuit};
+use cfs_netlist::{data::s27, Circuit, GateKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -232,6 +232,45 @@ fn detection_cycle_indices_match_serial() {
             }
             (Undetected, Undetected) | (Undetected, Untestable) => {}
             other => panic!("fault {i}: {other:?}"),
+        }
+    }
+}
+
+/// Regression: a stuck flip-flop output holds its stuck value from the
+/// first cycle, before any clock edge. The concurrent engine once started
+/// such faults at `X`, so on s5378g it first detected `ff8` stuck-at-1 at
+/// pattern 14 instead of 11 (`--random 16 --seed 550`) and `ff89`
+/// stuck-at-0 at 4 instead of 2 (`--random 32 --seed 551`). Both runs
+/// use the CLI's collapsed universe and its random stimulus.
+#[test]
+fn stuck_flip_flop_outputs_are_detected_at_the_serial_pattern() {
+    let c = benchmark("s5378g").unwrap();
+    let universe = collapse_stuck_at(&c).representatives;
+    for (fault_index, count, seed, serial_pattern) in [(87, 16, 550, 11), (248, 32, 551, 2)] {
+        let fault = universe[fault_index];
+        let FaultSite::Output { gate } = fault.site else {
+            panic!("fault {fault_index} is not an output fault");
+        };
+        assert_eq!(c.gate(gate).kind(), GateKind::Dff, "fault {fault_index}");
+        let faults = [fault];
+        let patterns = random_patterns(&c, count, seed);
+        let reference = SerialSim::new(&c, &faults).run(&patterns);
+        assert_eq!(
+            reference.statuses,
+            [FaultStatus::Detected {
+                pattern: serial_pattern
+            }],
+            "serial oracle on fault {fault_index}"
+        );
+        for variant in CsimVariant::ALL {
+            let report = ConcurrentSim::new(&c, &faults, variant.options()).run(&patterns);
+            assert_eq!(
+                report.statuses,
+                reference.statuses,
+                "{} on fault {fault_index} ({})",
+                variant.name(),
+                fault.describe(&c)
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 //! (`quiesce_window > 0`) must be bit-identical to ungated runs — same
 //! per-fault statuses, including exact first-detection pattern indices —
 //! for every window size, csim variant, fault model, thread count, and
-//! batch window, on stimulus crafted to actually drive nodes dormant
+//! shard count, on stimulus crafted to actually drive nodes dormant
 //! (random patterns held for multi-cycle bursts).
 //!
 //! Also pins checkpoint/resume: killing a run at any pattern boundary,
@@ -17,7 +17,7 @@
 //! to fire.
 
 use cfs_core::{
-    BatchOptions, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
+    Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
     ParallelTransitionSim, ShardPlan, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition, FaultStatus};
@@ -143,11 +143,11 @@ fn transition_gated_matches_ungated() {
     assert!(skips > 0, "the transition gate never engaged");
 }
 
-/// Gating composes with both parallelism axes: fault shards and pattern
-/// windows. The gated sharded/batched runs must match the ungated serial
+/// Gating composes with fault sharding, including more shards than
+/// workers. The gated sharded runs must match the ungated serial
 /// reference bit for bit.
 #[test]
-fn gated_matches_under_sharding_and_batching() {
+fn gated_matches_under_sharding() {
     let c = cfs_netlist::generate::benchmark("s298g").expect("known benchmark");
     let patterns = hold_patterns(&c, 12, 8, 0x41);
     let stuck = collapse_stuck_at(&c).representatives;
@@ -159,43 +159,37 @@ fn gated_matches_under_sharding_and_batching() {
     let transition_ref = TransitionSim::new(&c, &transition, TransitionOptions::default())
         .run(&patterns)
         .statuses;
-    for threads in [1usize, 4] {
-        for batch_window in [0usize, 16] {
-            let batch = BatchOptions {
-                window: batch_window,
-                ..BatchOptions::default()
-            };
-            let mut par = ParallelSim::with_probes_sharded(
-                &c,
-                &stuck,
-                gated(variant, 4),
-                threads,
-                threads,
-                ShardPlan::RoundRobin,
-                None,
-                |_| NullProbe,
-            );
-            let report = par.run_batched(&patterns, &batch);
-            assert_eq!(
-                report.statuses, stuck_ref,
-                "stuck gated threads={threads} batch={batch_window}"
-            );
-            let mut tpar = ParallelTransitionSim::with_probes_sharded(
-                &c,
-                &transition,
-                gated_transition(4),
-                threads,
-                threads,
-                ShardPlan::RoundRobin,
-                None,
-                |_| NullProbe,
-            );
-            let treport = tpar.run_batched(&patterns, &batch);
-            assert_eq!(
-                treport.statuses, transition_ref,
-                "transition gated threads={threads} batch={batch_window}"
-            );
-        }
+    for (threads, shards) in [(2usize, 2usize), (4, 4), (2, 5)] {
+        let mut par = ParallelSim::with_probes_sharded(
+            &c,
+            &stuck,
+            gated(variant, 4),
+            threads,
+            shards,
+            ShardPlan::RoundRobin,
+            None,
+            |_| NullProbe,
+        );
+        let report = par.run(&patterns);
+        assert_eq!(
+            report.statuses, stuck_ref,
+            "stuck gated threads={threads} shards={shards}"
+        );
+        let mut tpar = ParallelTransitionSim::with_probes_sharded(
+            &c,
+            &transition,
+            gated_transition(4),
+            threads,
+            shards,
+            ShardPlan::RoundRobin,
+            None,
+            |_| NullProbe,
+        );
+        let treport = tpar.run(&patterns);
+        assert_eq!(
+            treport.statuses, transition_ref,
+            "transition gated threads={threads} shards={shards}"
+        );
     }
 }
 

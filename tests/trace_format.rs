@@ -9,16 +9,15 @@
 use std::time::Instant;
 
 use cfs_core::{
-    detections_of, BatchOptions, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim,
-    ShardPlan, TransitionOptions, TransitionSim,
+    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
+    TransitionOptions, TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{JsonValue, JsonlWriter, MetricsSnapshot, PairProbe, Phase, SimMetrics};
 use cfs_trace::{
-    validate_chrome_trace, write_chrome_trace, write_chrome_trace_with_sched, SchedSpan,
-    SchedSteal, SchedTrack, TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
+    validate_chrome_trace, write_chrome_trace, TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,9 +161,6 @@ fn stats_json_lines_parse_with_expected_schema() {
             assert_eq!(v.get("trace_dropped").and_then(JsonValue::as_u64), Some(1));
             assert!(v.get("phases").is_some());
             assert!(v.get("phase_calls").is_some());
-            // Scheduler counters only appear on scheduled runs.
-            assert!(v.get("windows").is_none(), "serial run: no windows key");
-            assert!(v.get("steals").is_none(), "serial run: no steals key");
         }
     }
 }
@@ -221,124 +217,10 @@ fn transition_detections_identical_tracing_on_and_off() {
     }
 }
 
-/// Runs a batched (pattern-window × fault-shard) traced run and exports
-/// its Chrome trace with the scheduler's worker tracks.
-fn traced_batched_run(
-    threads: usize,
-    shards: usize,
-    window: usize,
-) -> (String, Vec<cfs_faults::FaultStatus>, usize) {
-    let c = circuit();
-    let faults = collapse_stuck_at(&c).representatives;
-    let pats = patterns(&c, 64, 7);
-    let epoch = Instant::now();
-    let mut sim = ParallelSim::with_probes_sharded(
-        &c,
-        &faults,
-        CsimVariant::Mv.options(),
-        threads,
-        shards,
-        ShardPlan::RoundRobin,
-        None,
-        |_| -> TraceProbe {
-            PairProbe(
-                SimMetrics::new(),
-                TraceRecorder::new(epoch, TraceConfig::default()),
-            )
-        },
-    );
-    let batch = BatchOptions {
-        window,
-        steal: true,
-        ..BatchOptions::default()
-    };
-    let report = sim.run_batched(&pats, &batch);
-    let st = sim.sched_stats().expect("batched run records stats");
-    let sched = SchedTrack {
-        workers: st.workers as u32,
-        spans: st
-            .spans
-            .iter()
-            .map(|s| SchedSpan {
-                worker: s.worker,
-                shard: s.shard,
-                window: s.window,
-                patterns: s.patterns,
-                start: s.start_micros,
-                end: s.end_micros,
-            })
-            .collect(),
-        steals: st
-            .steal_events
-            .iter()
-            .map(|e| SchedSteal {
-                worker: e.worker,
-                victim: e.victim,
-                shard: e.shard,
-                window: e.window,
-                ts: e.ts_micros,
-            })
-            .collect(),
-    };
-    let windows = st.windows;
-    let shard_data: Vec<(Vec<TraceEvent>, Vec<usize>)> = sim
-        .shard_probes()
-        .map(|(p, map)| (p.1.events().copied().collect(), map.to_vec()))
-        .collect();
-    let tracks: Vec<TrackTrace<'_>> = shard_data
-        .iter()
-        .enumerate()
-        .map(|(k, (events, map))| TrackTrace {
-            label: format!("shard {k}"),
-            events,
-            fault_map: Some(map),
-        })
-        .collect();
-    let mut buf = Vec::new();
-    write_chrome_trace_with_sched(&mut buf, "trace_format test", &tracks, Some(&sched))
-        .expect("in-memory write");
-    (
-        String::from_utf8(buf).expect("utf-8 JSON"),
-        report.statuses,
-        windows,
-    )
-}
-
-#[test]
-fn batched_trace_schema_adds_worker_tracks_and_stays_bit_identical() {
-    let c = circuit();
-    let faults = collapse_stuck_at(&c).representatives;
-    let pats = patterns(&c, 64, 7);
-    let baseline = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options()).run(&pats);
-    let (threads, shards, window) = (2, 5, 9);
-    let (text, statuses, windows) = traced_batched_run(threads, shards, window);
-    assert_eq!(windows, 64usize.div_ceil(window), "window partition count");
-    let stats = validate_chrome_trace(&text).unwrap_or_else(|e| panic!("invalid trace: {e}"));
-    assert_eq!(
-        stats.metadata,
-        1 + shards as u64 + threads as u64,
-        "process + shard tracks + worker tracks"
-    );
-    assert_eq!(
-        stats.task_spans,
-        (shards * windows) as u64,
-        "one task span per (shard × window)"
-    );
-    assert!(
-        stats.pattern_spans >= 64 * shards as u64,
-        "every shard still records every pattern: {stats:?}"
-    );
-    assert_eq!(
-        statuses, baseline.statuses,
-        "batched tracing changed per-fault statuses"
-    );
-}
-
 /// Per-phase *wall times* are schedule-dependent, but per-phase
 /// *invocation counts* are a fact of the simulation itself: with the
 /// fault partition fixed, every (pattern × shard) runs each phase the
-/// same number of times no matter how many workers execute it, how the
-/// pattern sequence is windowed, or what the steal schedule did. This is
+/// same number of times no matter how many workers execute it. This is
 /// the machine-checkable face of the `--stats` phase table under merges.
 #[test]
 fn phase_call_counts_are_schedule_invariant() {
@@ -346,7 +228,7 @@ fn phase_call_counts_are_schedule_invariant() {
     let faults = collapse_stuck_at(&c).representatives;
     let pats = patterns(&c, 48, 13);
     let shards = 4;
-    let snapshot_of = |threads: usize, batch: Option<BatchOptions>| -> MetricsSnapshot {
+    let snapshot_of = |threads: usize| -> MetricsSnapshot {
         let mut sim = ParallelSim::with_probes_sharded(
             &c,
             &faults,
@@ -357,63 +239,33 @@ fn phase_call_counts_are_schedule_invariant() {
             None,
             |_| SimMetrics::new(),
         );
-        match batch {
-            Some(b) => sim.run_batched(&pats, &b),
-            None => sim.run(&pats),
-        };
+        sim.run(&pats);
         sim.snapshot()
     };
-    let reference = snapshot_of(1, None);
-    let runs = [
-        snapshot_of(2, None),
-        snapshot_of(4, None),
-        snapshot_of(
-            1,
-            Some(BatchOptions {
-                window: 5,
-                steal: true,
-                ..BatchOptions::default()
-            }),
-        ),
-        snapshot_of(
-            4,
-            Some(BatchOptions {
-                window: 7,
-                steal: true,
-                ..BatchOptions::default()
-            }),
-        ),
-        snapshot_of(
-            4,
-            Some(BatchOptions {
-                window: 0,
-                steal: false,
-                ..BatchOptions::default()
-            }),
-        ),
-    ];
-    for (k, snap) in runs.iter().enumerate() {
+    let reference = snapshot_of(1);
+    for threads in [2, 3, 4] {
+        let snap = snapshot_of(threads);
         for phase in Phase::ALL {
             assert_eq!(
                 snap.phases.count(phase),
                 reference.phases.count(phase),
-                "run {k}: phase {} call count drifted under the scheduler",
+                "threads={threads}: phase {} call count drifted",
                 phase.name()
             );
         }
     }
 }
 
-/// The after-window callback is the CLI's milestone hook: cumulative done
-/// counts must walk the exact window partition, and the per-shard
-/// per-pattern records it merges must match the serial instrumented run —
-/// that is what makes `--trace-every` output identical for every thread
-/// count and window size.
+/// The after-block callback is the CLI's milestone hook: cumulative done
+/// counts must walk the good-trace block partition exactly as the serial
+/// path does, and the per-shard per-pattern records it merges must match
+/// the serial instrumented run — that is what makes `--trace-every`
+/// output identical for every thread count.
 #[test]
 fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
     let c = circuit();
     let faults = collapse_stuck_at(&c).representatives;
-    let pats = patterns(&c, 40, 17);
+    let pats = patterns(&c, 300, 17);
     let mut serial = ConcurrentSim::instrumented(&c, &faults, CsimVariant::Mv.options());
     serial.run(&pats);
     let serial_detected: Vec<u64> = serial
@@ -422,35 +274,33 @@ fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
         .iter()
         .map(|r| r.counters.detected)
         .collect();
-    for window in [1, 6, 0] {
+    let mut serial_milestones = Vec::new();
+    ParallelSim::new(
+        &c,
+        &faults,
+        CsimVariant::Mv.options(),
+        1,
+        ShardPlan::RoundRobin,
+    )
+    .run_with(&pats, |_, done| serial_milestones.push(done));
+    assert_eq!(serial_milestones, [128, 256, 300], "serial block walk");
+    for (threads, shards) in [(2, 2), (3, 5)] {
         let mut sim = ParallelSim::with_probes_sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),
-            3,
-            5,
+            threads,
+            shards,
             ShardPlan::RoundRobin,
             None,
             |_| SimMetrics::new(),
         );
         let mut milestones = Vec::new();
-        sim.run_batched_with(
-            &pats,
-            &BatchOptions {
-                window,
-                steal: true,
-                ..BatchOptions::default()
-            },
-            |_, done| milestones.push(done),
+        sim.run_with(&pats, |_, done| milestones.push(done));
+        assert_eq!(
+            milestones, serial_milestones,
+            "threads={threads} shards={shards}: milestone walk"
         );
-        let expected: Vec<usize> = if window == 0 {
-            vec![40]
-        } else {
-            (1..=40usize.div_ceil(window))
-                .map(|k| (k * window).min(40))
-                .collect()
-        };
-        assert_eq!(milestones, expected, "window={window}: milestone walk");
         // Per-pattern detected counts, summed across shards, must equal
         // the serial per-pattern records.
         let merged: Vec<u64> = (0..pats.len())
@@ -460,7 +310,10 @@ fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
                     .sum()
             })
             .collect();
-        assert_eq!(merged, serial_detected, "window={window}: merged records");
+        assert_eq!(
+            merged, serial_detected,
+            "threads={threads} shards={shards}: merged records"
+        );
     }
 }
 
