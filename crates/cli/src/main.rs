@@ -134,12 +134,12 @@ use cfs_check::{
     analysis_findings, analyze_circuit, classify_stuck_at, classify_transition, cross_check_fates,
     diff_netlists, impact_analysis, impact_findings, learn_findings, prune_stuck_at,
     prune_stuck_at_learned, prune_transition, prune_transition_learned, stuck_weights,
-    transition_weights, EditKind, ImpactAnalysis, ImplicationGraph, LearnOptions, RuleCode,
-    Severity,
+    transition_weights, CircuitAnalysis, EditKind, ImpactAnalysis, ImplicationGraph, LearnOptions,
+    RuleCode, Severity,
 };
 use cfs_core::{
-    detections_of, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
-    ParallelTransitionSim, ShardPlan, TransitionOptions, TransitionSim,
+    detections_of, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, FaultModel, NullProbe,
+    Probe, ShardPlan, ShardedSim, TransitionOptions,
 };
 use cfs_faults::{
     collapse_stuck_at, dominance_collapse, enumerate_stuck_at, enumerate_transition, FaultFate,
@@ -153,7 +153,7 @@ use cfs_netlist::{
 };
 use cfs_telemetry::{
     render_histogram, render_phase_table, render_summary_table, write_json_string, JsonValue,
-    JsonlWriter, Log2Histogram, MetricsSnapshot, PairProbe, Phase, SimMetrics,
+    JsonlWriter, Log2Histogram, MetricsSnapshot, PairProbe, PatternRecord, Phase, SimMetrics,
 };
 use cfs_trace::{
     write_chrome_trace, FaultTimeline, Heatmap, TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
@@ -626,20 +626,17 @@ impl ParallelOpts {
     }
 }
 
-/// A concurrent-variant option set with the CLI's gating window applied.
-fn stuck_options(variant: CsimVariant, par: &ParallelOpts) -> CsimOptions {
-    CsimOptions {
-        quiesce_window: par.quiesce_window,
-        ..variant.options()
-    }
-}
-
-/// Transition options with the CLI's gating window applied.
-fn transition_options(par: &ParallelOpts) -> TransitionOptions {
-    TransitionOptions {
-        quiesce_window: par.quiesce_window,
-        ..TransitionOptions::default()
-    }
+/// `--variant`: one concurrent variant, or all four under `all`
+/// (`mv` when the flag is absent).
+fn parse_variants(name: Option<&str>) -> Result<Vec<CsimVariant>, Box<dyn std::error::Error>> {
+    Ok(match name.unwrap_or("mv") {
+        "all" => CsimVariant::ALL.to_vec(),
+        "base" => vec![CsimVariant::Base],
+        "v" => vec![CsimVariant::V],
+        "m" => vec![CsimVariant::M],
+        "mv" => vec![CsimVariant::Mv],
+        other => return Err(err(format!("unknown variant {other:?}"))),
+    })
 }
 
 /// Pattern-granular checkpointing options (`--checkpoint-every`,
@@ -745,22 +742,21 @@ fn write_detections(
 /// enumeration universe — and which universe-reduction counters the
 /// driver stamps onto the telemetry snapshot. Both rewrites happen
 /// before the first pattern, so the probes never see them.
-#[derive(Clone, Copy)]
-enum Expansion<'a, F> {
+enum Expansion<F> {
     /// The simulated fault list is the reported universe as-is.
     Verbatim,
     /// `--prune`: class representatives expand to the full uncollapsed
     /// universe; statically-pruned faults report untestable.
-    Pruned(&'a PrunedUniverse<F>),
+    Pruned(PrunedUniverse<F>),
     /// `--incremental`: the affected cone expands to the full uncollapsed
     /// universe; unaffected faults copy their baseline fate verbatim.
     Incremental {
-        universe: &'a ImpactUniverse<F>,
-        baseline: &'a [FaultStatus],
+        universe: ImpactUniverse<F>,
+        baseline: Vec<FaultStatus>,
     },
 }
 
-impl<F: Copy> Expansion<'_, F> {
+impl<F: Copy> Expansion<F> {
     /// Expands the report's statuses to full-universe indices, so every
     /// report and detection list downstream speaks one index language.
     fn expand(&self, report: &mut FaultSimReport) {
@@ -800,7 +796,7 @@ impl<F: Copy> Expansion<'_, F> {
 /// violated (`I003`) — diagnostics print and the run exits with status 2.
 fn verify_incremental<F: Copy>(
     circuit: &str,
-    exp: Expansion<'_, F>,
+    exp: &Expansion<F>,
     paranoid: bool,
     incremental: &[FaultStatus],
     cold_run: impl FnOnce(&[F]) -> Vec<FaultStatus>,
@@ -1004,12 +1000,11 @@ fn load_baseline(
 /// baseline's stimulus replays here, prints the impact findings, and
 /// classifies the edited universe. `I002` (changed inputs, different
 /// stimulus) refuses with exit 2 — transferred fates would be unsound.
-fn prepare_incremental<F: Copy>(
+fn prepare_incremental<M: CliModel>(
     edited: &Circuit,
     baseline: Baseline,
     patterns: &[Vec<Logic>],
-    classify: fn(&Circuit, &Circuit, &ImpactAnalysis) -> ImpactUniverse<F>,
-) -> Result<(ImpactUniverse<F>, Vec<FaultStatus>), Box<dyn std::error::Error>> {
+) -> Result<Expansion<M>, Box<dyn std::error::Error>> {
     if patterns.len() != baseline.patterns || pattern_fingerprint(patterns) != baseline.pattern_hash
     {
         return Err(diag(format!(
@@ -1033,7 +1028,7 @@ fn prepare_incremental<F: Copy>(
             "fsim: the baseline does not apply to this netlist (see I002 above)".to_owned(),
         ));
     }
-    let universe = classify(&baseline.circuit, edited, &analysis);
+    let universe = M::classify(&baseline.circuit, edited, &analysis);
     if baseline.statuses.len() != universe.stats.baseline_full {
         return Err(err(format!(
             "baseline records {} statuses but its bench text enumerates {} faults",
@@ -1041,7 +1036,10 @@ fn prepare_incremental<F: Copy>(
             universe.stats.baseline_full
         )));
     }
-    Ok((universe, baseline.statuses))
+    Ok(Expansion::Incremental {
+        universe,
+        baseline: baseline.statuses,
+    })
 }
 
 /// Prints what an `--incremental` run is about to simulate.
@@ -1760,13 +1758,13 @@ fn close_jsonl(
     Ok(())
 }
 
-/// Streams every per-pattern record plus the run summary as JSON lines.
+/// Streams the per-pattern `records` plus the run summary as JSON lines.
 fn emit_jsonl(
     w: &mut JsonlFile,
-    metrics: &SimMetrics,
+    records: &[PatternRecord],
     snap: &MetricsSnapshot,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    for record in metrics.records() {
+    for record in records {
         w.write_pattern(record)
             .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
     }
@@ -1774,33 +1772,23 @@ fn emit_jsonl(
         .map_err(|e| err(format!("cannot write telemetry: {e}")))
 }
 
-fn trace_progress(metrics: &SimMetrics, pattern: usize, detected: usize, total: usize) {
-    let (avg, events) = metrics
-        .records()
-        .last()
-        .map(|r| (r.avg_list_len, r.counters.activations))
-        .unwrap_or((0.0, 0));
-    println!(
-        "  pattern {pattern:>6}: detected {detected}/{total}  avg |F| {avg:.1}  events {events}"
-    );
-}
-
-/// Cumulative state behind [`merged_trace_progress`]: how many patterns
-/// were already replayed and the running detection count.
-#[derive(Default)]
+/// Cumulative state behind [`merged_trace_progress`]: the next pattern
+/// to replay, the pattern the probes' records start at (a resumed run's
+/// first pattern), and the running detection count.
 struct ProgressState {
     cursor: usize,
+    first: usize,
     detected: u64,
 }
 
-/// `--trace-every` under `--threads N`: replays the per-shard per-pattern
-/// records up to `done` finished patterns and prints one merged line per
-/// multiple of `every`. The caller invokes this from the `run_with`
-/// after-block hook, when every shard has settled the block, so the merge
-/// reads only finished records — the output is deterministic and identical
-/// for every thread count (per-pattern counters sum across shards; the
-/// mean list length over nodes sums because the shards partition the
-/// fault universe over the same node array).
+/// `--trace-every`: replays the per-shard per-pattern records up to
+/// `done` finished patterns and prints one merged line per multiple of
+/// `every`. The caller invokes this from the `run_with` after-block hook,
+/// when every shard has settled the block, so the merge reads only
+/// finished records — the output is deterministic and identical for every
+/// thread count (per-pattern counters sum across shards; the mean list
+/// length over nodes sums because the shards partition the fault universe
+/// over the same node array).
 fn merged_trace_progress(
     shards: &[&SimMetrics],
     state: &mut ProgressState,
@@ -1809,7 +1797,7 @@ fn merged_trace_progress(
     total: usize,
 ) {
     while state.cursor < done {
-        let p = state.cursor;
+        let p = state.cursor - state.first;
         let mut avg = 0.0;
         let mut events = 0u64;
         for m in shards {
@@ -1833,20 +1821,74 @@ fn merged_trace_progress(
 /// recorder, driven by one engine pass.
 type TraceProbe = PairProbe<SimMetrics, TraceRecorder>;
 
+/// A shard probe the run driver attaches: none ([`NullProbe`]), metrics
+/// ([`SimMetrics`]), or metrics plus an event recorder ([`TraceProbe`]).
+trait RunProbe: Probe + Send + Sized {
+    /// The run's merged telemetry; `None` when the probe records none.
+    fn snapshot<M: FaultModel>(sim: &ShardedSim<M, Self>) -> Option<MetricsSnapshot>;
+
+    /// The probe's metrics recorder, if it has one.
+    fn metrics(&self) -> Option<&SimMetrics>;
+
+    /// The probe's event recorder, if it has one.
+    fn recorder(&self) -> Option<&TraceRecorder> {
+        None
+    }
+}
+
+impl RunProbe for NullProbe {
+    fn snapshot<M: FaultModel>(_: &ShardedSim<M, Self>) -> Option<MetricsSnapshot> {
+        None
+    }
+
+    fn metrics(&self) -> Option<&SimMetrics> {
+        None
+    }
+}
+
+impl RunProbe for SimMetrics {
+    fn snapshot<M: FaultModel>(sim: &ShardedSim<M, Self>) -> Option<MetricsSnapshot> {
+        Some(sim.snapshot())
+    }
+
+    fn metrics(&self) -> Option<&SimMetrics> {
+        Some(self)
+    }
+}
+
+impl RunProbe for TraceProbe {
+    fn snapshot<M: FaultModel>(sim: &ShardedSim<M, Self>) -> Option<MetricsSnapshot> {
+        Some(sim.snapshot())
+    }
+
+    fn metrics(&self) -> Option<&SimMetrics> {
+        Some(&self.0)
+    }
+
+    fn recorder(&self) -> Option<&TraceRecorder> {
+        Some(&self.1)
+    }
+}
+
 /// Writes the Chrome Trace / Perfetto JSON document for a finished traced
 /// run: one track per shard (fault ids remapped local→global through each
 /// shard's map) plus the merged counter track.
 fn write_trace_file(
     path: &str,
     process_name: &str,
-    shards: &[(Vec<TraceEvent>, &[usize])],
+    shards: &[(&TraceRecorder, &[usize])],
     recorded: u64,
     dropped: u64,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let tracks: Vec<TrackTrace<'_>> = shards
+    let events: Vec<Vec<TraceEvent>> = shards
         .iter()
+        .map(|(r, _)| r.events().copied().collect())
+        .collect();
+    let tracks: Vec<TrackTrace<'_>> = events
+        .iter()
+        .zip(shards)
         .enumerate()
-        .map(|(k, (events, map))| TrackTrace {
+        .map(|(k, (events, (_, map)))| TrackTrace {
             label: format!("shard {k}"),
             events,
             fault_map: Some(map),
@@ -1867,45 +1909,22 @@ fn write_trace_file(
     Ok(())
 }
 
-/// One `--stats` line for the quiescence gate. Gated runs only: ungated
-/// output stays byte-identical to what it always was.
-fn print_quiesce_line(snap: &MetricsSnapshot) {
-    if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
-        println!(
-            "  quiescence: {} sweep elements skipped, {} wakes",
-            snap.quiesce_skips, snap.quiesce_wakes
-        );
-    }
-}
-
-/// The per-run detail blocks behind `--stats`: phase times and the two
-/// engine histograms (only the concurrent simulators have these).
-fn print_stats_detail(snap: &MetricsSnapshot, metrics: &SimMetrics) {
-    print_quiesce_line(snap);
-    print!("{}", render_phase_table(&snap.phases));
-    print!(
-        "{}",
-        render_histogram("fault-list length per node", &metrics.list_len_hist)
-    );
-    print!(
-        "{}",
-        render_histogram("event-queue depth per level", &metrics.queue_depth_hist)
-    );
-}
-
-/// Like [`print_stats_detail`], with the histograms merged across all
-/// shard probes of a parallel run.
-fn print_stats_detail_sharded<'a>(
-    snap: &MetricsSnapshot,
-    shards: impl Iterator<Item = &'a SimMetrics>,
-) {
+/// The per-run detail blocks behind `--stats`: the quiescence line (gated
+/// runs only), phase times, and the two engine histograms, merged across
+/// the run's shard recorders.
+fn print_stats_detail<'a>(snap: &MetricsSnapshot, shards: impl Iterator<Item = &'a SimMetrics>) {
     let mut list_hist = Log2Histogram::default();
     let mut queue_hist = Log2Histogram::default();
     for m in shards {
         list_hist.merge(&m.list_len_hist);
         queue_hist.merge(&m.queue_depth_hist);
     }
-    print_quiesce_line(snap);
+    if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
+        println!(
+            "  quiescence: {} sweep elements skipped, {} wakes",
+            snap.quiesce_skips, snap.quiesce_wakes
+        );
+    }
     print!("{}", render_phase_table(&snap.phases));
     print!(
         "{}",
@@ -1917,339 +1936,247 @@ fn print_stats_detail_sharded<'a>(
     );
 }
 
-fn run_stuck_instrumented(
-    sim: &mut ConcurrentSim<SimMetrics>,
-    circuit: &str,
-    patterns: &[Vec<Logic>],
-    trace_every: Option<usize>,
-    total_faults: usize,
-) -> FaultSimReport {
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate() {
-        sim.step(p);
-        if trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), total_faults);
+/// What the `sim`/`transition` driver needs beyond [`FaultModel`]: the
+/// static reductions of the model's fault universe and the tags its
+/// baseline files carry.
+trait CliModel: FaultModel {
+    /// Baseline-file model tag.
+    const TAG: &'static str;
+    /// Model name in the `--prune` / `--incremental` banners.
+    const LABEL: &'static str;
+    /// The universe reports and baseline files cover.
+    const UNIVERSE: &'static str;
+
+    /// `--prune`, with `--learn` when `learn` is given.
+    fn prune(c: &Circuit, a: &CircuitAnalysis, learn: Option<LearnOptions>)
+        -> PrunedUniverse<Self>;
+
+    /// `--incremental`: splits the edited universe into affected and
+    /// transferred faults.
+    fn classify(
+        base: &Circuit,
+        edited: &Circuit,
+        analysis: &ImpactAnalysis,
+    ) -> ImpactUniverse<Self>;
+
+    /// SCOAP balance keys for `--shard-plan weight-aware`.
+    fn weights(c: &Circuit, a: &CircuitAnalysis, faults: &[Self]) -> Vec<u32>;
+
+    /// `options` with quiescence gating off.
+    fn ungated(options: &Self::Options) -> Self::Options;
+}
+
+impl CliModel for StuckAt {
+    const TAG: &'static str = "stuck";
+    const LABEL: &'static str = "stuck-at";
+    const UNIVERSE: &'static str = "uncollapsed";
+
+    fn prune(
+        c: &Circuit,
+        a: &CircuitAnalysis,
+        learn: Option<LearnOptions>,
+    ) -> PrunedUniverse<Self> {
+        match learn {
+            Some(options) => {
+                let graph = ImplicationGraph::build(c, a, options);
+                prune_stuck_at_learned(c, a, &graph).universe
+            }
+            None => prune_stuck_at(c, a),
         }
     }
-    let cpu = start.elapsed();
-    FaultSimReport {
-        simulator: sim.name().to_owned(),
-        circuit: circuit.to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
+
+    fn classify(
+        base: &Circuit,
+        edited: &Circuit,
+        analysis: &ImpactAnalysis,
+    ) -> ImpactUniverse<Self> {
+        classify_stuck_at(base, edited, analysis)
+    }
+
+    fn weights(c: &Circuit, a: &CircuitAnalysis, faults: &[Self]) -> Vec<u32> {
+        stuck_weights(c, a, faults)
+    }
+
+    fn ungated(options: &CsimOptions) -> CsimOptions {
+        CsimOptions {
+            quiesce_window: 0,
+            ..options.clone()
+        }
     }
 }
 
-/// `sim --simulator csim`: one variant, or all four under `--variant all`.
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck(
+impl CliModel for TransitionFault {
+    const TAG: &'static str = "transition";
+    const LABEL: &'static str = "transition";
+    const UNIVERSE: &'static str = "full";
+
+    fn prune(
+        c: &Circuit,
+        a: &CircuitAnalysis,
+        learn: Option<LearnOptions>,
+    ) -> PrunedUniverse<Self> {
+        match learn {
+            Some(options) => {
+                let graph = ImplicationGraph::build(c, a, options);
+                prune_transition_learned(c, a, &graph)
+            }
+            None => prune_transition(c, a),
+        }
+    }
+
+    fn classify(
+        base: &Circuit,
+        edited: &Circuit,
+        analysis: &ImpactAnalysis,
+    ) -> ImpactUniverse<Self> {
+        classify_transition(base, edited, analysis)
+    }
+
+    fn weights(c: &Circuit, a: &CircuitAnalysis, faults: &[Self]) -> Vec<u32> {
+        transition_weights(c, a, faults)
+    }
+
+    fn ungated(options: &TransitionOptions) -> TransitionOptions {
+        TransitionOptions {
+            quiesce_window: 0,
+            ..options.clone()
+        }
+    }
+}
+
+/// The fault list a `sim`/`transition` run simulates, its shard-balance
+/// keys, and how its statuses expand back onto the reported universe.
+struct Universe<F> {
+    faults: Vec<F>,
+    /// SCOAP weights for `--shard-plan weight-aware` on a sharded run.
+    keys: Option<Vec<u32>>,
+    expansion: Expansion<F>,
+}
+
+/// The universe-reduction flags `sim` and `transition` share: `--prune`
+/// (with `--learn`) or `--incremental --baseline-report FILE`.
+struct ReduceOpts {
+    prune: bool,
+    learn: Option<LearnOptions>,
+    /// The `--baseline-report` an `--incremental` run transfers from.
+    baseline: Option<String>,
+}
+
+impl ReduceOpts {
+    fn parse(cmd: &str, args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
+        let prune = has_flag(args, "--prune");
+        let learn = learn_opts(cmd, args)?;
+        if learn.is_some() && !prune {
+            return Err(err("--learn extends --prune; add --prune"));
+        }
+        let incremental = has_flag(args, "--incremental");
+        if incremental && prune {
+            return Err(err(
+                "--incremental and --prune both rewrite the simulated universe; pick one",
+            ));
+        }
+        let baseline = flag_value(args, "--baseline-report").map(str::to_owned);
+        match (incremental, baseline.is_some()) {
+            (true, false) => Err(err("--incremental needs --baseline-report FILE")),
+            (false, true) => Err(err("--baseline-report needs --incremental")),
+            _ => Ok(ReduceOpts {
+                prune,
+                learn,
+                baseline,
+            }),
+        }
+    }
+}
+
+/// Builds the simulated universe: the `--prune` (and `--learn`) or
+/// `--incremental` reduction when asked for, `full()` otherwise. The
+/// weight-aware plan and `--prune` share one static analysis pass.
+fn prepare_universe<M: CliModel>(
     c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variant_name: &str,
-    tel: &TelemetryOpts,
+    reduce: &ReduceOpts,
     par: &ParallelOpts,
-    ck: &CheckpointOpts,
-    exp: Expansion<'_, StuckAt>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let variants: Vec<CsimVariant> = if variant_name == "all" {
-        vec![
-            CsimVariant::Base,
-            CsimVariant::V,
-            CsimVariant::M,
-            CsimVariant::Mv,
-        ]
-    } else {
-        vec![match variant_name {
-            "base" => CsimVariant::Base,
-            "v" => CsimVariant::V,
-            "m" => CsimVariant::M,
-            "mv" => CsimVariant::Mv,
-            other => return Err(err(format!("unknown variant {other:?}"))),
-        }]
+    patterns: &[Vec<Logic>],
+    full: impl FnOnce() -> Vec<M>,
+) -> Result<Universe<M>, Box<dyn std::error::Error>> {
+    let weighted = par.plan == ShardPlan::WeightAware && par.threads > 1;
+    let analysis = (reduce.prune || weighted).then(|| analyze_circuit(c));
+    let expansion = match (&analysis, &reduce.baseline) {
+        (Some(a), _) if reduce.prune => Expansion::Pruned(M::prune(c, a, reduce.learn)),
+        (_, Some(path)) => {
+            let baseline = load_baseline(path, M::TAG, M::UNIVERSE)?;
+            prepare_incremental(c, baseline, patterns)?
+        }
+        _ => Expansion::Verbatim,
     };
-    if par.detections.is_some() && variants.len() > 1 {
-        return Err(err("--detections needs a single --variant"));
-    }
-    if par.baseline_out.is_some() && variants.len() > 1 {
-        return Err(err("--baseline-out needs a single --variant"));
-    }
-    if ck.active() {
-        if variants.len() > 1 {
-            return Err(err("checkpointing needs a single --variant"));
+    let faults = match &expansion {
+        Expansion::Verbatim => full(),
+        Expansion::Pruned(u) => {
+            print_prune_banner(M::LABEL, &u.stats);
+            u.sim.clone()
         }
-        return run_csim_stuck_checkpointed(c, faults, patterns, variants[0], tel, par, ck, exp);
-    }
-    if tel.trace_out.is_some() {
-        if variants.len() > 1 {
-            return Err(err("--trace-out needs a single --variant"));
+        Expansion::Incremental { universe, .. } => {
+            print_impact_banner(M::LABEL, &universe.stats);
+            universe.affected.clone()
         }
-        return run_csim_stuck_traced(c, faults, patterns, variants[0], tel, par, exp, keys);
-    }
-    if par.threads > 1 {
-        return run_csim_stuck_sharded(c, faults, patterns, &variants, tel, par, exp, keys);
-    }
-    if !tel.enabled() && variants.len() == 1 {
-        // Fast path: no probe attached, zero instrumentation cost.
-        let mut sim = ConcurrentSim::new(c, faults, stuck_options(variants[0], par));
-        if par.paranoid {
-            sim.set_paranoid(true);
+    };
+    let keys = match &analysis {
+        Some(a) if weighted => Some(M::weights(c, a, &faults)),
+        _ => None,
+    };
+    Ok(Universe {
+        faults,
+        keys,
+        expansion,
+    })
+}
+
+/// A concurrent `sim`/`transition` run: the circuit, the simulated
+/// universe, the patterns, and the parsed flags every variant shares.
+struct Run<'a, M> {
+    c: &'a Circuit,
+    uni: &'a Universe<M>,
+    patterns: &'a [Vec<Logic>],
+    tel: &'a TelemetryOpts,
+    par: &'a ParallelOpts,
+    ck: &'a CheckpointOpts,
+}
+
+/// Every concurrent `sim`/`transition` run: one [`ShardedSim`] run per
+/// option set in `configs` (one per `--variant`), with the probe the
+/// telemetry flags ask for. Several variants render one comparison table.
+fn run_concurrent<M: CliModel>(
+    run: &Run<'_, M>,
+    configs: &[M::Options],
+) -> Result<(), Box<dyn std::error::Error>> {
+    let Run { tel, par, ck, .. } = *run;
+    if configs.len() > 1 {
+        for (given, what) in [
+            (par.detections.is_some(), "--detections"),
+            (par.baseline_out.is_some(), "--baseline-out"),
+            (ck.active(), "checkpointing"),
+            (tel.trace_out.is_some(), "--trace-out"),
+        ] {
+            if given {
+                return Err(err(format!("{what} needs a single --variant")));
+            }
         }
-        let mut report = sim.run(patterns);
-        exp.expand(&mut report);
-        print_report(&report);
-        // Cold cross-check re-runs stay ungated on purpose: a gating bug
-        // cannot mask itself from the paranoid comparison.
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            ConcurrentSim::new(c, full, variants[0].options())
-                .run(patterns)
-                .statuses
-        })?;
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-        }
-        return Ok(());
     }
     let mut jsonl = open_jsonl(&tel.stats_json)?;
     let mut snaps = Vec::new();
-    for &variant in &variants {
-        let mut sim = ConcurrentSim::instrumented(c, faults, stuck_options(variant, par));
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut report =
-            run_stuck_instrumented(&mut sim, c.name(), patterns, tel.trace_every, faults.len());
-        exp.expand(&mut report);
-        print_report(&report);
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            ConcurrentSim::new(c, full, variant.options())
-                .run(patterns)
-                .statuses
-        })?;
-        let mut snap = sim.snapshot();
-        // Phase spans nest, so the wall clock is the honest total.
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail(&snap, sim.metrics());
-        }
-        if let Some(w) = jsonl.as_mut() {
-            emit_jsonl(w, sim.metrics(), &snap)?;
-        }
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-        }
-        snaps.push(snap);
-    }
-    if tel.stats || variants.len() > 1 {
-        println!();
-        print!("{}", render_summary_table(&snaps));
-    }
-    close_jsonl(jsonl, &tel.stats_json)
-}
-
-/// The `--checkpoint-every` / `--resume-from` path: one serial
-/// instrumented engine stepped pattern by pattern, snapshotting the
-/// complete engine state at checkpoint boundaries. A resumed run
-/// restores its snapshot before the first pattern and replays only the
-/// remainder; the report (statuses, detections, peak memory) is
-/// bit-identical to the uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck_checkpointed(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variant: CsimVariant,
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    ck: &CheckpointOpts,
-    exp: Expansion<'_, StuckAt>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut sim = ConcurrentSim::instrumented(c, faults, stuck_options(variant, par));
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let start_at = match &ck.resume {
-        Some(path) => {
-            let snap = load_checkpoint_file(path)?;
-            sim.restore(&snap)
-                .map_err(|e| diag(format!("error: K002 [checkpoint-mismatch] {path}: {e}")))?;
-            let done = snap.pattern_index() as usize;
-            if done > patterns.len() {
-                return Err(err(format!(
-                    "{path} already covers {done} pattern(s) but this run replays only {}",
-                    patterns.len()
-                )));
-            }
-            println!("resumed from {path} at pattern {done}");
-            done
-        }
-        None => 0,
-    };
-    let mut ckpt_time = Duration::ZERO;
-    let mut written = 0u32;
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate().skip(start_at) {
-        sim.step(p);
-        if tel.trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), faults.len());
-        }
-        if let (Some(every), Some(dir)) = (ck.every, ck.out.as_deref()) {
-            // The final boundary is the finished report; no snapshot there.
-            if (i + 1) % every == 0 && i + 1 < patterns.len() {
-                let t = Instant::now();
-                let snapshot = sim.checkpoint();
-                write_checkpoint_file(dir, &snapshot)?;
-                ckpt_time += t.elapsed();
-                written += 1;
-            }
-        }
-    }
-    let cpu = start.elapsed();
-    let mut report = FaultSimReport {
-        simulator: sim.name().to_owned(),
-        circuit: c.name().to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
-    };
-    if let Some(dir) = ck.out.as_deref() {
-        if written > 0 {
-            println!(
-                "wrote {written} checkpoint(s) to {dir} ({:.1} ms)",
-                ckpt_time.as_secs_f64() * 1e3
-            );
-        }
-    }
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        ConcurrentSim::new(c, full, variant.options())
-            .run(patterns)
-            .statuses
-    })?;
-    if tel.enabled() {
-        let mut snap = sim.snapshot();
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        snap.phases.add(Phase::Checkpoint, ckpt_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail(&snap, sim.metrics());
-            println!();
-            print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-        }
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        if let Some(w) = jsonl.as_mut() {
-            emit_jsonl(w, sim.metrics(), &snap)?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
-    }
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-    }
-    Ok(())
-}
-
-/// The `--threads N > 1` path: fault-sharded engines over a shared good
-/// machine. `--trace-every` milestones merge the per-shard records into
-/// one deterministic line per milestone (see [`merged_trace_progress`]);
-/// per-pattern JSON records stay a serial concept, so `--stats-json`
-/// carries only the merged summary record.
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck_sharded(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variants: &[CsimVariant],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, StuckAt>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    let mut snaps = Vec::new();
-    for &variant in variants {
-        let mut report = if tel.enabled() {
-            let mut sim = ParallelSim::with_probes(
-                c,
-                faults,
-                stuck_options(variant, par),
-                par.threads,
-                par.plan,
-                keys,
-                |_| SimMetrics::new(),
-            );
-            if par.paranoid {
-                sim.set_paranoid(true);
-            }
-            let mut progress = ProgressState::default();
-            let after = |s: &ParallelSim<SimMetrics>, done: usize| {
-                if let Some(every) = tel.trace_every {
-                    let shards: Vec<&SimMetrics> = s.shard_metrics().collect();
-                    merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-                }
-            };
-            let report = sim.run_with(patterns, after);
-            let mut snap = sim.snapshot();
-            snap.cpu_seconds = report.cpu.as_secs_f64();
-            snap.phases.add(Phase::Check, tel.check_time);
-            exp.stamp(&mut snap);
-            if tel.stats {
-                print_stats_detail_sharded(&snap, sim.shard_metrics());
-            }
-            if let Some(w) = jsonl.as_mut() {
-                w.write_summary(&snap)
-                    .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-            }
-            snaps.push(snap);
-            report
+    for options in configs {
+        let snap = if tel.trace_out.is_some() {
+            // One epoch for every shard, so cross-track timestamps line up.
+            let epoch = Instant::now();
+            run_variant(run, options, jsonl.as_mut(), |_| -> TraceProbe {
+                PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, tel.trace_cfg))
+            })?
+        } else if tel.enabled() || configs.len() > 1 {
+            run_variant(run, options, jsonl.as_mut(), |_| SimMetrics::new())?
         } else {
-            let mut sim = ParallelSim::with_probes(
-                c,
-                faults,
-                stuck_options(variant, par),
-                par.threads,
-                par.plan,
-                keys,
-                |_| NullProbe,
-            );
-            if par.paranoid {
-                sim.set_paranoid(true);
-            }
-            sim.run(patterns)
+            // No probe attached: zero instrumentation cost.
+            run_variant(run, options, jsonl.as_mut(), |_| NullProbe)?
         };
-        exp.expand(&mut report);
-        print_report(&report);
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            ConcurrentSim::new(c, full, variant.options())
-                .run(patterns)
-                .statuses
-        })?;
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
-        }
+        snaps.extend(snap);
     }
     if tel.stats || snaps.len() > 1 {
         println!();
@@ -2258,114 +2185,168 @@ fn run_csim_stuck_sharded(
     close_jsonl(jsonl, &tel.stats_json)
 }
 
-/// The `--trace-out` path: every shard carries a metrics probe *and* an
-/// event recorder ([`TraceProbe`]), for any thread count — one shard runs
-/// the exact serial schedule, so the serial and sharded traced paths are
-/// the same code. After the run the shard event streams become one Chrome
-/// Trace / Perfetto JSON document (fault ids remapped to the global
-/// universe through each shard's map).
-#[allow(clippy::too_many_arguments)]
-fn run_csim_stuck_traced(
-    c: &Circuit,
-    faults: &[StuckAt],
-    patterns: &[Vec<Logic>],
-    variant: CsimVariant,
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, StuckAt>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // One epoch for every shard, so cross-track timestamps line up.
-    let epoch = Instant::now();
-    let mut sim = ParallelSim::with_probes(
+/// One variant of [`run_concurrent`]: builds the simulator with `probe`
+/// on every shard — serial is the one-shard case — restores
+/// `--resume-from`, and runs the patterns in segments that end at each
+/// `--checkpoint-every` boundary, where a snapshot is written. Then prints
+/// the report and writes every requested artifact; returns the telemetry
+/// snapshot when the probe records one.
+fn run_variant<M: CliModel, P: RunProbe>(
+    run: &Run<'_, M>,
+    options: &M::Options,
+    jsonl: Option<&mut JsonlFile>,
+    probe: impl FnMut(usize) -> P,
+) -> Result<Option<MetricsSnapshot>, Box<dyn std::error::Error>> {
+    let Run {
         c,
-        faults,
-        stuck_options(variant, par),
+        uni,
+        patterns,
+        tel,
+        par,
+        ck,
+    } = *run;
+    let mut sim = ShardedSim::with_probes(
+        c,
+        &uni.faults,
+        options.clone(),
         par.threads,
         par.plan,
-        keys,
-        |_| -> TraceProbe {
-            PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, tel.trace_cfg))
-        },
+        uni.keys.as_deref(),
+        probe,
     );
     if par.paranoid {
         sim.set_paranoid(true);
     }
-    let mut progress = ProgressState::default();
-    let after = |s: &ParallelSim<TraceProbe>, done: usize| {
-        if let Some(every) = tel.trace_every {
-            let shards: Vec<&SimMetrics> = s.shard_probes().map(|(p, _)| &p.0).collect();
-            merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-        }
+    let start_at = match &ck.resume {
+        Some(path) => resume(&mut sim, path, patterns.len())?,
+        None => 0,
     };
-    let mut report = sim.run_with(patterns, after);
-    exp.expand(&mut report);
+    let mut progress = ProgressState {
+        cursor: start_at,
+        first: start_at,
+        detected: sim.detected() as u64,
+    };
+    // Segments end at each checkpoint boundary inside the run (the
+    // final boundary is the finished report, not a snapshot).
+    let ends: Vec<usize> = match ck.every {
+        Some(every) => ((start_at / every + 1) * every..patterns.len())
+            .step_by(every)
+            .chain([patterns.len()])
+            .collect(),
+        None => vec![patterns.len()],
+    };
+    let mut ckpt_time = Duration::ZERO;
+    let mut written = 0u32;
+    let start = Instant::now();
+    let mut lo = start_at;
+    let mut last = None;
+    for end in ends {
+        last = Some(sim.run_with(&patterns[lo..end], |s, done| {
+            if let Some(every) = tel.trace_every {
+                let shards: Vec<&SimMetrics> =
+                    s.shard_probes().filter_map(|(p, _)| p.metrics()).collect();
+                merged_trace_progress(&shards, &mut progress, every, lo + done, uni.faults.len());
+            }
+        }));
+        if let Some(dir) = ck.out.as_deref().filter(|_| end < patterns.len()) {
+            let t = Instant::now();
+            write_checkpoint_file(dir, &sim.checkpoint())?;
+            ckpt_time += t.elapsed();
+            written += 1;
+        }
+        lo = end;
+    }
+    // The last segment's report carries the whole run's statuses and
+    // counters; it speaks for every pattern.
+    let mut report = last.expect("a run has at least one segment");
+    report.patterns = patterns.len();
+    report.cpu = start.elapsed();
+    if let Some(dir) = ck.out.as_deref().filter(|_| written > 0) {
+        println!(
+            "wrote {written} checkpoint(s) to {dir} ({:.1} ms)",
+            ckpt_time.as_secs_f64() * 1e3
+        );
+    }
+    uni.expansion.expand(&mut report);
     print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        ConcurrentSim::new(c, full, variant.options())
-            .run(patterns)
-            .statuses
-    })?;
-    // Merge the metrics halves into one snapshot, exactly as
-    // `ParallelSim::snapshot` does for plain instrumented shards.
-    let mut merged: Option<MetricsSnapshot> = None;
-    for (p, _) in sim.shard_probes() {
-        let shard_snap = p.0.snapshot("", c.name());
-        match merged.as_mut() {
-            None => merged = Some(shard_snap),
-            Some(m) => m.merge_shard(&shard_snap),
+    // Cold cross-check re-runs stay ungated on purpose: a gating bug
+    // cannot mask itself from the paranoid comparison.
+    verify_incremental(
+        c.name(),
+        &uni.expansion,
+        par.paranoid,
+        &report.statuses,
+        |full| {
+            ShardedSim::new(c, full, M::ungated(options), 1, ShardPlan::RoundRobin)
+                .run(patterns)
+                .statuses
+        },
+    )?;
+    let recorders: Vec<(&TraceRecorder, &[usize])> = sim
+        .shard_probes()
+        .filter_map(|(p, map)| Some((p.recorder()?, map)))
+        .collect();
+    let recorded = recorders.iter().map(|(r, _)| r.recorded_events()).sum();
+    let dropped = recorders.iter().map(|(r, _)| r.dropped_events()).sum();
+    let snap = P::snapshot(&sim).map(|mut snap| {
+        // Phase spans nest, so the wall clock is the honest total.
+        snap.cpu_seconds = report.cpu.as_secs_f64();
+        snap.phases.add(Phase::Check, tel.check_time);
+        if ck.active() {
+            snap.phases.add(Phase::Checkpoint, ckpt_time);
+        }
+        uni.expansion.stamp(&mut snap);
+        snap.trace_events = recorded;
+        snap.trace_dropped = dropped;
+        snap
+    });
+    let metrics = || sim.shard_probes().filter_map(|(p, _)| p.metrics());
+    if let Some(snap) = &snap {
+        if tel.stats {
+            print_stats_detail(snap, metrics());
+        }
+        if let Some(w) = jsonl {
+            // One shard ran the serial schedule, so its per-pattern
+            // records are the serial records; sharded runs write only
+            // the merged summary.
+            let records = match sim.num_shards() {
+                1 => metrics().next().map_or(&[][..], SimMetrics::records),
+                _ => &[],
+            };
+            emit_jsonl(w, records, snap)?;
         }
     }
-    let mut snap = merged.unwrap_or_default();
-    snap.simulator = report.simulator.clone();
-    snap.circuit = c.name().to_owned();
-    let (good_events, good_evals) = sim.good_engine_work();
-    snap.events += good_events;
-    snap.good_evals += good_evals;
-    snap.cpu_seconds = report.cpu.as_secs_f64();
-    snap.phases.add(Phase::Check, tel.check_time);
-    exp.stamp(&mut snap);
-    snap.trace_events = sim.shard_probes().map(|(p, _)| p.1.recorded_events()).sum();
-    snap.trace_dropped = sim.shard_probes().map(|(p, _)| p.1.dropped_events()).sum();
-    if tel.stats {
-        print_stats_detail_sharded(&snap, sim.shard_probes().map(|(p, _)| &p.0));
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-    }
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    if let Some(w) = jsonl.as_mut() {
-        if par.threads == 1 {
-            // The single shard ran the serial schedule, so its per-pattern
-            // records are the serial records.
-            let (p, _) = sim.shard_probes().next().expect("one shard");
-            emit_jsonl(w, &p.0, &snap)?;
-        } else {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-        }
-    }
-    close_jsonl(jsonl, &tel.stats_json)?;
     if let Some(path) = &par.detections {
         write_detections(path, &report.statuses)?;
     }
     if let Some(path) = &par.baseline_out {
-        write_baseline(path, "stuck", "uncollapsed", c, patterns, &report.statuses)?;
+        write_baseline(path, M::TAG, M::UNIVERSE, c, patterns, &report.statuses)?;
     }
-    let shard_data: Vec<(Vec<TraceEvent>, &[usize])> = sim
-        .shard_probes()
-        .map(|(p, map)| (p.1.events().copied().collect(), map))
-        .collect();
-    let path = tel
-        .trace_out
-        .as_deref()
-        .expect("routed here by --trace-out");
-    write_trace_file(
-        path,
-        &format!("{} · {}", c.name(), report.simulator),
-        &shard_data,
-        snap.trace_events,
-        snap.trace_dropped,
-    )
+    if let Some(path) = &tel.trace_out {
+        let name = format!("{} · {}", c.name(), report.simulator);
+        write_trace_file(path, &name, &recorders, recorded, dropped)?;
+    }
+    Ok(snap)
+}
+
+/// Restores a `--resume-from` checkpoint into a one-shard simulator and
+/// returns the pattern it resumes at.
+fn resume<M: FaultModel, P: Probe>(
+    sim: &mut ShardedSim<M, P>,
+    path: &str,
+    patterns: usize,
+) -> Result<usize, Box<dyn std::error::Error>> {
+    let snap = load_checkpoint_file(path)?;
+    sim.restore(&snap)
+        .map_err(|e| diag(format!("error: K002 [checkpoint-mismatch] {path}: {e}")))?;
+    let done = snap.pattern_index() as usize;
+    if done > patterns {
+        return Err(err(format!(
+            "{path} already covers {done} pattern(s) but this run replays only {patterns}"
+        )));
+    }
+    println!("resumed from {path} at pattern {done}");
+    Ok(done)
 }
 
 /// Telemetry output for the baseline simulators, which report only run
@@ -2427,47 +2408,21 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     validate_flags("sim", args, SIM_FLAGS)?;
     let spec = args.first().ok_or_else(|| err("sim: missing circuit"))?;
     let simulator = flag_value(args, "--simulator").unwrap_or("csim");
-    let prune = has_flag(args, "--prune");
-    let learn = learn_opts("sim", args)?;
-    if learn.is_some() && !prune {
-        return Err(err("--learn extends --prune; add --prune"));
-    }
-    let incremental = has_flag(args, "--incremental");
-    if prune && has_flag(args, "--uncollapsed") {
+    let reduce = ReduceOpts::parse("sim", args)?;
+    let (prune, incremental) = (reduce.prune, reduce.baseline.is_some());
+    let uncollapsed = has_flag(args, "--uncollapsed");
+    if prune && uncollapsed {
         return Err(err(
             "--prune already reports the full uncollapsed universe (pruned faults \
              as untestable); drop --uncollapsed",
         ));
     }
-    if prune && simulator != "csim" {
-        return Err(err(format!(
-            "--prune needs the concurrent simulator, not {simulator:?}"
-        )));
-    }
-    if incremental && prune {
-        return Err(err(
-            "--incremental and --prune both rewrite the simulated universe; pick one",
-        ));
-    }
-    if incremental && has_flag(args, "--uncollapsed") {
+    if incremental && uncollapsed {
         return Err(err(
             "--incremental already reports the full uncollapsed universe; drop --uncollapsed",
         ));
     }
-    if incremental && simulator != "csim" {
-        return Err(err(format!(
-            "--incremental needs the concurrent simulator, not {simulator:?}"
-        )));
-    }
-    if incremental && flag_value(args, "--baseline-report").is_none() {
-        return Err(err("--incremental needs --baseline-report FILE"));
-    }
-    if !incremental && flag_value(args, "--baseline-report").is_some() {
-        return Err(err("--baseline-report needs --incremental"));
-    }
-    if flag_value(args, "--baseline-out").is_some()
-        && !(prune || incremental || has_flag(args, "--uncollapsed"))
-    {
+    if flag_value(args, "--baseline-out").is_some() && !(prune || incremental || uncollapsed) {
         return Err(err(
             "--baseline-out records fates over the full uncollapsed universe; add \
              --uncollapsed (or --prune / --incremental, which already report it)",
@@ -2478,104 +2433,55 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     tel.check_time = check_time;
     let par = ParallelOpts::parse(args)?;
     let ck = CheckpointOpts::parse(args, &par, &tel)?;
-    if ck.active() && simulator != "csim" {
-        return Err(err(format!(
-            "checkpointing needs the concurrent simulator, not {simulator:?}"
-        )));
+    if simulator != "csim" {
+        for (given, what) in [
+            (prune, "--prune"),
+            (incremental, "--incremental"),
+            (ck.active(), "checkpointing"),
+            (tel.trace_out.is_some(), "--trace-out"),
+            (par.threads > 1, "--threads"),
+            (par.paranoid, "--paranoid"),
+            (par.quiesce_window > 0, "--quiesce-window"),
+        ] {
+            if given {
+                return Err(err(format!(
+                    "{what} needs the concurrent simulator, not {simulator:?}"
+                )));
+            }
+        }
     }
     let patterns = load_patterns(&c, args, 256)?;
-    // The weight-aware plan and --prune share one static analysis pass.
-    let needs_analysis = prune || (par.plan == ShardPlan::WeightAware && par.threads > 1);
-    let analysis = needs_analysis.then(|| analyze_circuit(&c));
-    let pruned: Option<PrunedUniverse<StuckAt>> = match &analysis {
-        Some(a) if prune => Some(match learn {
-            Some(options) => {
-                let graph = ImplicationGraph::build(&c, a, options);
-                prune_stuck_at_learned(&c, a, &graph).universe
-            }
-            None => prune_stuck_at(&c, a),
-        }),
-        _ => None,
-    };
-    let incr: Option<(ImpactUniverse<StuckAt>, Vec<FaultStatus>)> =
-        match flag_value(args, "--baseline-report") {
-            Some(path) if incremental => {
-                let baseline = load_baseline(path, "stuck", "uncollapsed")?;
-                Some(prepare_incremental(
-                    &c,
-                    baseline,
-                    &patterns,
-                    classify_stuck_at,
-                )?)
-            }
-            _ => None,
-        };
-    let faults = match (&pruned, &incr) {
-        (Some(u), _) => {
-            print_prune_banner("stuck-at", &u.stats);
-            u.sim.clone()
+    let uni = prepare_universe(&c, &reduce, &par, &patterns, || {
+        if uncollapsed {
+            enumerate_stuck_at(&c)
+        } else {
+            collapse_stuck_at(&c).representatives
         }
-        (None, Some((u, _))) => {
-            print_impact_banner("stuck-at", &u.stats);
-            u.affected.clone()
-        }
-        (None, None) if has_flag(args, "--uncollapsed") => enumerate_stuck_at(&c),
-        (None, None) => collapse_stuck_at(&c).representatives,
-    };
-    let keys: Option<Vec<u32>> = match &analysis {
-        Some(a) if par.plan == ShardPlan::WeightAware && par.threads > 1 => {
-            Some(stuck_weights(&c, a, &faults))
-        }
-        _ => None,
-    };
-    let exp: Expansion<'_, StuckAt> = match (&pruned, &incr) {
-        (Some(u), _) => Expansion::Pruned(u),
-        (None, Some((u, baseline))) => Expansion::Incremental {
-            universe: u,
-            baseline,
-        },
-        _ => Expansion::Verbatim,
-    };
-    let variant_name = flag_value(args, "--variant").unwrap_or("mv");
+    })?;
     let report = match simulator {
         "csim" => {
-            return run_csim_stuck(
-                &c,
-                &faults,
-                &patterns,
-                variant_name,
-                &tel,
-                &par,
-                &ck,
-                exp,
-                keys.as_deref(),
-            )
+            let configs: Vec<CsimOptions> = parse_variants(flag_value(args, "--variant"))?
+                .into_iter()
+                .map(|v| CsimOptions {
+                    quiesce_window: par.quiesce_window,
+                    ..v.options()
+                })
+                .collect();
+            let run = Run {
+                c: &c,
+                uni: &uni,
+                patterns: &patterns,
+                tel: &tel,
+                par: &par,
+                ck: &ck,
+            };
+            return run_concurrent(&run, &configs);
         }
-        other if tel.trace_out.is_some() => {
-            return Err(err(format!(
-                "--trace-out needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.threads > 1 => {
-            return Err(err(format!(
-                "--threads needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.paranoid => {
-            return Err(err(format!(
-                "--paranoid needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        other if par.quiesce_window > 0 => {
-            return Err(err(format!(
-                "--quiesce-window needs the concurrent simulator, not {other:?}"
-            )))
-        }
-        "proofs" => ProofsSim::new(&c, &faults).run(&patterns),
-        "serial" => SerialSim::new(&c, &faults).run(&patterns),
+        "proofs" => ProofsSim::new(&c, &uni.faults).run(&patterns),
+        "serial" => SerialSim::new(&c, &uni.faults).run(&patterns),
         "deductive" => {
             let reset = vec![Logic::Zero; c.num_dffs()];
-            DeductiveSim::new(&c, &faults, reset).run(&patterns)?
+            DeductiveSim::new(&c, &uni.faults, reset).run(&patterns)?
         }
         other => return Err(err(format!("unknown simulator {other:?}"))),
     };
@@ -2596,33 +2502,6 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     emit_basic_telemetry(&tel, &report)
 }
 
-fn run_transition_instrumented(
-    sim: &mut TransitionSim<SimMetrics>,
-    circuit: &str,
-    patterns: &[Vec<Logic>],
-    trace_every: Option<usize>,
-    total_faults: usize,
-) -> FaultSimReport {
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate() {
-        sim.step(p);
-        if trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), total_faults);
-        }
-    }
-    let cpu = start.elapsed();
-    FaultSimReport {
-        simulator: "csim-T".to_owned(),
-        circuit: circuit.to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
-    }
-}
-
 fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     validate_flags("transition", args, TRANSITION_FLAGS)?;
     let spec = args
@@ -2633,417 +2512,22 @@ fn cmd_transition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     tel.check_time = check_time;
     let par = ParallelOpts::parse(args)?;
     let ck = CheckpointOpts::parse(args, &par, &tel)?;
-    let prune = has_flag(args, "--prune");
-    let learn = learn_opts("transition", args)?;
-    if learn.is_some() && !prune {
-        return Err(err("--learn extends --prune; add --prune"));
-    }
-    let incremental = has_flag(args, "--incremental");
-    if incremental && prune {
-        return Err(err(
-            "--incremental and --prune both rewrite the simulated universe; pick one",
-        ));
-    }
-    if incremental && flag_value(args, "--baseline-report").is_none() {
-        return Err(err("--incremental needs --baseline-report FILE"));
-    }
-    if !incremental && flag_value(args, "--baseline-report").is_some() {
-        return Err(err("--baseline-report needs --incremental"));
-    }
+    let reduce = ReduceOpts::parse("transition", args)?;
     let patterns = load_patterns(&c, args, 256)?;
-    let needs_analysis = prune || (par.plan == ShardPlan::WeightAware && par.threads > 1);
-    let analysis = needs_analysis.then(|| analyze_circuit(&c));
-    let pruned: Option<PrunedUniverse<TransitionFault>> = match &analysis {
-        Some(a) if prune => Some(match learn {
-            Some(options) => {
-                let graph = ImplicationGraph::build(&c, a, options);
-                prune_transition_learned(&c, a, &graph)
-            }
-            None => prune_transition(&c, a),
-        }),
-        _ => None,
+    let uni = prepare_universe(&c, &reduce, &par, &patterns, || enumerate_transition(&c))?;
+    let run = Run {
+        c: &c,
+        uni: &uni,
+        patterns: &patterns,
+        tel: &tel,
+        par: &par,
+        ck: &ck,
     };
-    let incr: Option<(ImpactUniverse<TransitionFault>, Vec<FaultStatus>)> =
-        match flag_value(args, "--baseline-report") {
-            Some(path) if incremental => {
-                let baseline = load_baseline(path, "transition", "full")?;
-                Some(prepare_incremental(
-                    &c,
-                    baseline,
-                    &patterns,
-                    classify_transition,
-                )?)
-            }
-            _ => None,
-        };
-    let faults = match (&pruned, &incr) {
-        (Some(u), _) => {
-            print_prune_banner("transition", &u.stats);
-            u.sim.clone()
-        }
-        (None, Some((u, _))) => {
-            print_impact_banner("transition", &u.stats);
-            u.affected.clone()
-        }
-        (None, None) => enumerate_transition(&c),
+    let options = TransitionOptions {
+        quiesce_window: par.quiesce_window,
+        ..TransitionOptions::default()
     };
-    let keys: Option<Vec<u32>> = match &analysis {
-        Some(a) if par.plan == ShardPlan::WeightAware && par.threads > 1 => {
-            Some(transition_weights(&c, a, &faults))
-        }
-        _ => None,
-    };
-    let exp: Expansion<'_, TransitionFault> = match (&pruned, &incr) {
-        (Some(u), _) => Expansion::Pruned(u),
-        (None, Some((u, baseline))) => Expansion::Incremental {
-            universe: u,
-            baseline,
-        },
-        _ => Expansion::Verbatim,
-    };
-    if ck.active() {
-        return run_transition_checkpointed(&c, &faults, &patterns, &tel, &par, &ck, exp);
-    }
-    if tel.trace_out.is_some() {
-        return run_transition_traced(&c, &faults, &patterns, &tel, &par, exp, keys.as_deref());
-    }
-    if par.threads > 1 {
-        return run_transition_sharded(&c, &faults, &patterns, &tel, &par, exp, keys.as_deref());
-    }
-    if !tel.enabled() {
-        let mut sim = TransitionSim::new(&c, &faults, transition_options(&par));
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut report = sim.run(&patterns);
-        exp.expand(&mut report);
-        print_report(&report);
-        verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-            TransitionSim::new(&c, full, TransitionOptions::default())
-                .run(&patterns)
-                .statuses
-        })?;
-        if let Some(path) = &par.detections {
-            write_detections(path, &report.statuses)?;
-        }
-        if let Some(path) = &par.baseline_out {
-            write_baseline(path, "transition", "full", &c, &patterns, &report.statuses)?;
-        }
-        return Ok(());
-    }
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    let mut sim = TransitionSim::instrumented(&c, &faults, transition_options(&par));
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let mut report =
-        run_transition_instrumented(&mut sim, c.name(), &patterns, tel.trace_every, faults.len());
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(&c, full, TransitionOptions::default())
-            .run(&patterns)
-            .statuses
-    })?;
-    let mut snap = sim.snapshot();
-    snap.cpu_seconds = report.cpu.as_secs_f64();
-    snap.phases.add(Phase::Check, tel.check_time);
-    exp.stamp(&mut snap);
-    if tel.stats {
-        print_stats_detail(&snap, sim.metrics());
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-    }
-    if let Some(w) = jsonl.as_mut() {
-        emit_jsonl(w, sim.metrics(), &snap)?;
-    }
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", &c, &patterns, &report.statuses)?;
-    }
-    close_jsonl(jsonl, &tel.stats_json)
-}
-
-/// The `transition --checkpoint-every` / `--resume-from` path; mirrors
-/// [`run_csim_stuck_checkpointed`].
-fn run_transition_checkpointed(
-    c: &Circuit,
-    faults: &[TransitionFault],
-    patterns: &[Vec<Logic>],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    ck: &CheckpointOpts,
-    exp: Expansion<'_, TransitionFault>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut sim = TransitionSim::instrumented(c, faults, transition_options(par));
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let start_at = match &ck.resume {
-        Some(path) => {
-            let snap = load_checkpoint_file(path)?;
-            sim.restore(&snap)
-                .map_err(|e| diag(format!("error: K002 [checkpoint-mismatch] {path}: {e}")))?;
-            let done = snap.pattern_index() as usize;
-            if done > patterns.len() {
-                return Err(err(format!(
-                    "{path} already covers {done} pattern(s) but this run replays only {}",
-                    patterns.len()
-                )));
-            }
-            println!("resumed from {path} at pattern {done}");
-            done
-        }
-        None => 0,
-    };
-    let mut ckpt_time = Duration::ZERO;
-    let mut written = 0u32;
-    let start = Instant::now();
-    for (i, p) in patterns.iter().enumerate().skip(start_at) {
-        sim.step(p);
-        if tel.trace_every.is_some_and(|n| (i + 1) % n == 0) {
-            trace_progress(sim.metrics(), i + 1, sim.detected(), faults.len());
-        }
-        if let (Some(every), Some(dir)) = (ck.every, ck.out.as_deref()) {
-            if (i + 1) % every == 0 && i + 1 < patterns.len() {
-                let t = Instant::now();
-                let snapshot = sim.checkpoint();
-                write_checkpoint_file(dir, &snapshot)?;
-                ckpt_time += t.elapsed();
-                written += 1;
-            }
-        }
-    }
-    let cpu = start.elapsed();
-    let mut report = FaultSimReport {
-        simulator: "csim-T".to_owned(),
-        circuit: c.name().to_owned(),
-        patterns: patterns.len(),
-        statuses: sim.statuses(),
-        cpu,
-        memory_bytes: sim.memory_bytes(),
-        events: sim.events(),
-        evaluations: sim.fault_evaluations(),
-    };
-    if let Some(dir) = ck.out.as_deref() {
-        if written > 0 {
-            println!(
-                "wrote {written} checkpoint(s) to {dir} ({:.1} ms)",
-                ckpt_time.as_secs_f64() * 1e3
-            );
-        }
-    }
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(c, full, TransitionOptions::default())
-            .run(patterns)
-            .statuses
-    })?;
-    if tel.enabled() {
-        let mut snap = sim.snapshot();
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        snap.phases.add(Phase::Checkpoint, ckpt_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail(&snap, sim.metrics());
-            println!();
-            print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-        }
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        if let Some(w) = jsonl.as_mut() {
-            emit_jsonl(w, sim.metrics(), &snap)?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
-    }
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", c, patterns, &report.statuses)?;
-    }
-    Ok(())
-}
-
-/// The `transition --threads N > 1` path; mirrors
-/// [`run_csim_stuck_sharded`].
-#[allow(clippy::too_many_arguments)]
-fn run_transition_sharded(
-    c: &Circuit,
-    faults: &[TransitionFault],
-    patterns: &[Vec<Logic>],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, TransitionFault>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut report = if tel.enabled() {
-        let mut jsonl = open_jsonl(&tel.stats_json)?;
-        let mut sim = ParallelTransitionSim::with_probes(
-            c,
-            faults,
-            transition_options(par),
-            par.threads,
-            par.plan,
-            keys,
-            |_| SimMetrics::new(),
-        );
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        let mut progress = ProgressState::default();
-        let after = |s: &ParallelTransitionSim<SimMetrics>, done: usize| {
-            if let Some(every) = tel.trace_every {
-                let shards: Vec<&SimMetrics> = s.shard_metrics().collect();
-                merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-            }
-        };
-        let report = sim.run_with(patterns, after);
-        let mut snap = sim.snapshot();
-        snap.cpu_seconds = report.cpu.as_secs_f64();
-        snap.phases.add(Phase::Check, tel.check_time);
-        exp.stamp(&mut snap);
-        if tel.stats {
-            print_stats_detail_sharded(&snap, sim.shard_metrics());
-            println!();
-            print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-        }
-        if let Some(w) = jsonl.as_mut() {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-        }
-        close_jsonl(jsonl, &tel.stats_json)?;
-        report
-    } else {
-        let mut sim = ParallelTransitionSim::with_probes(
-            c,
-            faults,
-            transition_options(par),
-            par.threads,
-            par.plan,
-            keys,
-            |_| NullProbe,
-        );
-        if par.paranoid {
-            sim.set_paranoid(true);
-        }
-        sim.run(patterns)
-    };
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(c, full, TransitionOptions::default())
-            .run(patterns)
-            .statuses
-    })?;
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", c, patterns, &report.statuses)?;
-    }
-    Ok(())
-}
-
-/// The `transition --trace-out` path; mirrors [`run_csim_stuck_traced`].
-fn run_transition_traced(
-    c: &Circuit,
-    faults: &[TransitionFault],
-    patterns: &[Vec<Logic>],
-    tel: &TelemetryOpts,
-    par: &ParallelOpts,
-    exp: Expansion<'_, TransitionFault>,
-    keys: Option<&[u32]>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let epoch = Instant::now();
-    let mut sim = ParallelTransitionSim::with_probes(
-        c,
-        faults,
-        transition_options(par),
-        par.threads,
-        par.plan,
-        keys,
-        |_| -> TraceProbe {
-            PairProbe(SimMetrics::new(), TraceRecorder::new(epoch, tel.trace_cfg))
-        },
-    );
-    if par.paranoid {
-        sim.set_paranoid(true);
-    }
-    let mut progress = ProgressState::default();
-    let after = |s: &ParallelTransitionSim<TraceProbe>, done: usize| {
-        if let Some(every) = tel.trace_every {
-            let shards: Vec<&SimMetrics> = s.shard_probes().map(|(p, _)| &p.0).collect();
-            merged_trace_progress(&shards, &mut progress, every, done, faults.len());
-        }
-    };
-    let mut report = sim.run_with(patterns, after);
-    exp.expand(&mut report);
-    print_report(&report);
-    verify_incremental(c.name(), exp, par.paranoid, &report.statuses, |full| {
-        TransitionSim::new(c, full, TransitionOptions::default())
-            .run(patterns)
-            .statuses
-    })?;
-    let mut merged: Option<MetricsSnapshot> = None;
-    for (p, _) in sim.shard_probes() {
-        let shard_snap = p.0.snapshot("", c.name());
-        match merged.as_mut() {
-            None => merged = Some(shard_snap),
-            Some(m) => m.merge_shard(&shard_snap),
-        }
-    }
-    let mut snap = merged.unwrap_or_default();
-    snap.simulator = report.simulator.clone();
-    snap.circuit = c.name().to_owned();
-    let (good_events, good_evals) = sim.good_engine_work();
-    snap.events += good_events;
-    snap.good_evals += good_evals;
-    snap.cpu_seconds = report.cpu.as_secs_f64();
-    snap.phases.add(Phase::Check, tel.check_time);
-    exp.stamp(&mut snap);
-    snap.trace_events = sim.shard_probes().map(|(p, _)| p.1.recorded_events()).sum();
-    snap.trace_dropped = sim.shard_probes().map(|(p, _)| p.1.dropped_events()).sum();
-    if tel.stats {
-        print_stats_detail_sharded(&snap, sim.shard_probes().map(|(p, _)| &p.0));
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
-    }
-    let mut jsonl = open_jsonl(&tel.stats_json)?;
-    if let Some(w) = jsonl.as_mut() {
-        if par.threads == 1 {
-            let (p, _) = sim.shard_probes().next().expect("one shard");
-            emit_jsonl(w, &p.0, &snap)?;
-        } else {
-            w.write_summary(&snap)
-                .map_err(|e| err(format!("cannot write telemetry: {e}")))?;
-        }
-    }
-    close_jsonl(jsonl, &tel.stats_json)?;
-    if let Some(path) = &par.detections {
-        write_detections(path, &report.statuses)?;
-    }
-    if let Some(path) = &par.baseline_out {
-        write_baseline(path, "transition", "full", c, patterns, &report.statuses)?;
-    }
-    let shard_data: Vec<(Vec<TraceEvent>, &[usize])> = sim
-        .shard_probes()
-        .map(|(p, map)| (p.1.events().copied().collect(), map))
-        .collect();
-    let path = tel
-        .trace_out
-        .as_deref()
-        .expect("routed here by --trace-out");
-    write_trace_file(
-        path,
-        &format!("{} · {}", c.name(), report.simulator),
-        &shard_data,
-        snap.trace_events,
-        snap.trace_dropped,
-    )
+    run_concurrent(&run, &[options])
 }
 
 /// Display name of a gate-level node. Gate-level networks keep node id ==

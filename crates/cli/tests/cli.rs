@@ -294,6 +294,67 @@ fn stats_json_emits_pattern_records_and_matching_summary() {
     );
 }
 
+/// Runs `fsim <cmd> @s298g --random 64` under every telemetry flag set the
+/// run driver branches on and asserts each `--detections` dump is
+/// byte-identical to `reference`; a one-thread `--stats-json`, traced or
+/// not, carries one record per pattern plus the summary.
+fn assert_telemetry_keeps_detections(cmd: &str, dir: &std::path::Path, reference: &str) {
+    let path = |name: &str| {
+        dir.join(format!("{cmd}-tel-{name}"))
+            .to_string_lossy()
+            .into_owned()
+    };
+    let (det, json, traced_json) = (path("det.txt"), path("stats.jsonl"), path("traced.jsonl"));
+    let (trace, trace2) = (path("trace.json"), path("trace2.json"));
+    let sets: [&[&str]; 7] = [
+        &[],
+        &["--stats"],
+        &["--stats-json", &json],
+        &["--trace-every", "16"],
+        &["--trace-out", &trace],
+        &["--trace-out", &trace2, "--stats-json", &traced_json],
+        &["--threads", "2", "--stats"],
+    ];
+    for flags in sets {
+        let mut args = vec![cmd, "@s298g", "--random", "64", "--detections", &det];
+        args.extend(flags);
+        let (ok, out, err) = fsim(&args);
+        assert!(ok, "{cmd} {flags:?}: {err}");
+        assert_eq!(
+            std::fs::read_to_string(&det).unwrap(),
+            reference,
+            "{cmd} {flags:?}: detections diverged"
+        );
+        if flags.contains(&"--trace-every") {
+            let milestones = out.lines().filter(|l| l.contains(": detected ")).count();
+            assert_eq!(
+                milestones, 4,
+                "{cmd}: one progress line per 16 patterns\n{out}"
+            );
+        }
+    }
+    for file in [&json, &traced_json] {
+        let types: Vec<String> = std::fs::read_to_string(file)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                let v = JsonValue::parse(l).expect("valid JSON line");
+                v.get("type")
+                    .and_then(JsonValue::as_str)
+                    .unwrap()
+                    .to_owned()
+            })
+            .collect();
+        assert_eq!(
+            types.len(),
+            65,
+            "{cmd} {file}: 64 pattern records + 1 summary"
+        );
+        assert!(types[..64].iter().all(|t| t == "pattern"), "{cmd} {file}");
+        assert_eq!(types[64], "summary", "{cmd} {file}");
+    }
+}
+
 /// The ISSUE acceptance scenario: `--threads 4` produces a byte-identical
 /// detection dump to `--threads 1`, for every shard plan.
 #[test]
@@ -336,6 +397,7 @@ fn sim_threads_detections_are_byte_identical() {
             "plan {plan} diverged from serial"
         );
     }
+    assert_telemetry_keeps_detections("sim", &dir, &reference);
 }
 
 #[test]
@@ -365,10 +427,9 @@ fn transition_threads_detections_are_byte_identical() {
     ]);
     assert!(ok, "{err}");
     assert!(out.contains("csim-T-p4"), "{out}");
-    assert_eq!(
-        std::fs::read_to_string(&par).unwrap(),
-        std::fs::read_to_string(&serial).unwrap()
-    );
+    let reference = std::fs::read_to_string(&serial).unwrap();
+    assert_eq!(std::fs::read_to_string(&par).unwrap(), reference);
+    assert_telemetry_keeps_detections("transition", &dir, &reference);
 }
 
 #[test]
@@ -388,6 +449,12 @@ fn threads_flag_rejects_bad_values() {
     let (ok, _, err) = fsim(&["sim", "@s27", "--shard-plan", "mystery"]);
     assert!(!ok);
     assert!(err.contains("unknown shard plan"), "{err}");
+    // Only the canonical plan names parse.
+    for alias in ["rr", "chunk", "level", "weighted", "scoap"] {
+        let (ok, _, err) = fsim(&["sim", "@s27", "--threads", "2", "--shard-plan", alias]);
+        assert!(!ok, "--shard-plan {alias} was accepted");
+        assert!(err.contains("unknown shard plan"), "{err}");
+    }
     let (ok, _, err) = fsim(&["sim", "@s27", "--threads", "2", "--simulator", "proofs"]);
     assert!(!ok);
     assert!(
@@ -1030,4 +1097,85 @@ fn incremental_rejects_stale_baseline_with_i002() {
     ]);
     assert_eq!(code, Some(2), "diagnostic exit: {err}");
     assert!(err.contains("I002 [baseline-invalidated]"), "{err}");
+}
+
+/// Checkpointed runs and mid-run resumes reproduce the cold detections,
+/// for both fault models, ungated and under a quiescence window.
+#[test]
+fn checkpoint_and_resume_match_cold_runs() {
+    let dir = std::env::temp_dir().join("fsim-cli-ckpt");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let base = ["@s641g", "--random", "128", "--seed", "11"];
+    // (model, extra flags, cadence, snapshots the cadence must write)
+    let cases: [(&str, &[&str], &str, &[&str]); 4] = [
+        ("sim", &[], "32", &["000032", "000064", "000096"]),
+        ("transition", &[], "32", &["000032", "000064", "000096"]),
+        ("sim", &["--quiesce-window", "8"], "64", &["000064"]),
+        ("transition", &["--quiesce-window", "8"], "64", &["000064"]),
+    ];
+    for (model, extra, every, snapshots) in cases {
+        let tag = format!("{model}{}", extra.join(""));
+        let cold = path(&format!("{tag}-cold.txt"));
+        let mut args = vec![model];
+        args.extend(base);
+        args.extend(["--detections", &cold]);
+        let (ok, _, err) = fsim(&args);
+        assert!(ok, "{tag} cold: {err}");
+        let reference = std::fs::read_to_string(&cold).unwrap();
+        let ckpts = path(&format!("{tag}-ckpts"));
+        let _ = std::fs::remove_dir_all(&ckpts);
+        let checkpointed = path(&format!("{tag}-ckpt.txt"));
+        let mut args = vec![model];
+        args.extend(base);
+        args.extend(extra);
+        args.extend(["--checkpoint-every", every, "--checkpoint-out", &ckpts]);
+        args.extend(["--detections", &checkpointed]);
+        let (ok, out, err) = fsim(&args);
+        assert!(ok, "{tag} checkpointed: {err}");
+        assert!(
+            out.contains(&format!("wrote {} checkpoint(s)", snapshots.len())),
+            "{out}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&checkpointed).unwrap(),
+            reference,
+            "{tag}"
+        );
+        for n in snapshots {
+            assert!(
+                dir.join(&ckpts).join(format!("ckpt-{n}.bin")).is_file(),
+                "{tag}: {n}"
+            );
+        }
+        let resumed = path(&format!("{tag}-resumed.txt"));
+        let snapshot = format!("{ckpts}/ckpt-000064.bin");
+        let mut args = vec![model];
+        args.extend(base);
+        args.extend(extra);
+        args.extend(["--resume-from", &snapshot, "--detections", &resumed]);
+        let (ok, out, err) = fsim(&args);
+        assert!(ok, "{tag} resumed: {err}");
+        assert!(out.contains("at pattern 64"), "{out}");
+        assert_eq!(
+            std::fs::read_to_string(&resumed).unwrap(),
+            reference,
+            "{tag} resumed"
+        );
+    }
+    // A gated stuck-at snapshot: refused by a transition run (model
+    // mismatch) and by an ungated stuck-at run (window mismatch).
+    let gated = path("sim--quiesce-window8-ckpts/ckpt-000064.bin");
+    for model in ["transition", "sim"] {
+        let mut args = vec![model];
+        args.extend(base);
+        args.extend(["--resume-from", &gated]);
+        let (code, _, err) = fsim_code(&args);
+        assert_eq!(
+            code,
+            Some(2),
+            "{model} accepted a mismatched checkpoint: {err}"
+        );
+        assert!(err.contains("K002"), "{err}");
+    }
 }

@@ -19,7 +19,7 @@
 //! engine may run an arena compaction pass ([`Engine::pattern_end`]) once
 //! fault dropping has retired more slots than remain live.
 
-use cfs_faults::transition_value;
+use cfs_faults::{transition_value, FaultStatus};
 use cfs_logic::Logic;
 use cfs_telemetry::{NullProbe, Phase, Probe};
 
@@ -54,23 +54,23 @@ struct DffUpdate {
 /// instrumentation call site is an empty inlined function and the
 /// `P::ENABLED`-gated blocks are compiled out, so the uninstrumented engine
 /// is byte-for-byte the unprobed one.
-pub(crate) struct Engine<P: Probe = NullProbe> {
-    pub net: Network,
-    pub arena: Arena,
+pub struct Engine<P: Probe = NullProbe> {
+    pub(crate) net: Network,
+    pub(crate) arena: Arena,
     /// Good-machine value per node.
-    pub good: Vec<Logic>,
+    pub(crate) good: Vec<Logic>,
     /// Visible fault list heads (in combined mode, the only list).
     pub(crate) vis_head: Vec<u32>,
     /// Invisible fault list heads (split mode only).
     pub(crate) inv_head: Vec<u32>,
     /// Keep invisible elements on their own list (the paper's `-V`).
-    pub split: bool,
+    pub(crate) split: bool,
     /// Purge elements of detected faults during traversal.
-    pub drop_detected: bool,
+    pub(crate) drop_detected: bool,
     /// Transition faults present their held (PV) value during evaluation.
-    pub transition_hold: bool,
+    pub(crate) transition_hold: bool,
     /// Previous settled faulty pin value per fault (transition model).
-    pub prev_pin: Vec<Logic>,
+    pub(crate) prev_pin: Vec<Logic>,
 
     /// Dense per-level event worklist.
     pub(crate) sched: Scheduler,
@@ -86,7 +86,7 @@ pub(crate) struct Engine<P: Probe = NullProbe> {
     /// rewritten by `latch_commit` at pattern `k` is first scanned by
     /// `detect` at pattern `k + 1`, so a sound detection skip needs at least
     /// two untouched patterns.
-    pub quiesce_window: u32,
+    pub(crate) quiesce_window: u32,
     /// Pattern index of each node's last state change (good value or
     /// undetected fault-list content). Purge-only rebuilds (removal of
     /// detected elements) do not count as changes: every consumer already
@@ -103,22 +103,22 @@ pub(crate) struct Engine<P: Probe = NullProbe> {
     /// on per-pattern hold state — such flip-flops are never gated.
     latch_gate_ok: Vec<bool>,
     /// Work units skipped by quiescence gating.
-    pub quiesce_skips: u64,
+    pub(crate) quiesce_skips: u64,
     /// Dormant nodes re-activated by a state change.
-    pub quiesce_wakes: u64,
+    pub(crate) quiesce_wakes: u64,
 
     /// Node activations processed.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Good-machine evaluations.
-    pub good_evals: u64,
+    pub(crate) good_evals: u64,
     /// Faulty-machine evaluations.
-    pub fault_evals: u64,
+    pub(crate) fault_evals: u64,
     /// Current pattern (clock cycle) index.
-    pub pattern_index: u32,
+    pub(crate) pattern_index: u32,
     /// Re-check the concurrent-list laws after every settled pattern
     /// ([`Engine::verify_after_pattern`]). On by default in debug builds;
     /// `--paranoid` forces it on in release builds.
-    pub verify: bool,
+    pub(crate) verify: bool,
     /// Nodes evaluated since the last verification (purge-law
     /// bookkeeping; maintained only while `verify` is set).
     touched: Vec<bool>,
@@ -137,14 +137,14 @@ pub(crate) struct Engine<P: Probe = NullProbe> {
     inv_buf: Vec<(u32, Logic)>,
 
     /// Instrumentation hooks (zero-sized and inert for [`NullProbe`]).
-    pub probe: P,
+    pub(crate) probe: P,
 }
 
 impl<P: Probe> Engine<P> {
     /// Builds an engine over a compiled network; all values start at `X`,
     /// every fault gets its permanent local element at its site, and every
     /// evaluation node is scheduled for the first step.
-    pub fn with_probe(net: Network, split: bool, drop_detected: bool, probe: P) -> Self {
+    pub(crate) fn with_probe(net: Network, split: bool, drop_detected: bool, probe: P) -> Self {
         let n = net.num_nodes();
         let num_faults = net.descriptors.len();
         let levels: Vec<u32> = net.levels().collect();
@@ -270,7 +270,7 @@ impl<P: Probe> Engine<P> {
     /// # Panics
     ///
     /// Panics if `state.len()` differs from the flip-flop count.
-    pub fn set_dff_state(&mut self, state: &[Logic]) {
+    pub(crate) fn set_dff_state(&mut self, state: &[Logic]) {
         assert_eq!(state.len(), self.net.dff_nodes.len(), "state width");
         for (k, &v) in state.iter().enumerate() {
             let q = self.net.dff_nodes[k];
@@ -334,7 +334,7 @@ impl<P: Probe> Engine<P> {
 
     /// Applies a primary-input pattern: updates good values, refreshes the
     /// permanent local elements of PI nodes, and schedules affected logic.
-    pub fn apply_inputs(&mut self, pattern: &[Logic]) {
+    pub(crate) fn apply_inputs(&mut self, pattern: &[Logic]) {
         assert_eq!(pattern.len(), self.net.pi_nodes.len(), "input width");
         for (k, &v) in pattern.iter().enumerate() {
             let n = self.net.pi_nodes[k];
@@ -398,7 +398,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Settles the network: processes scheduled nodes level by level.
-    pub fn propagate(&mut self) {
+    pub(crate) fn propagate(&mut self) {
         self.propagate_with(None);
     }
 
@@ -413,7 +413,7 @@ impl<P: Probe> Engine<P> {
     /// scheduling evaluates each node at most once per cycle, strictly
     /// after its fanins, so the value `eval_fn` would compute *is* the
     /// settled value.
-    pub fn propagate_with(&mut self, shared: Option<&[Logic]>) {
+    pub(crate) fn propagate_with(&mut self, shared: Option<&[Logic]>) {
         self.probe.phase_start(Phase::Propagate);
         for level in 0..self.sched.num_levels() {
             // Evaluating a node only schedules strictly higher levels, so
@@ -709,7 +709,7 @@ impl<P: Probe> Engine<P> {
     /// Scans the primary outputs for detections: a visible element whose
     /// value and the good value are opposite binary values. Newly detected
     /// faults are marked in their descriptors (elements are purged lazily).
-    pub fn detect(&mut self) -> Vec<Detection> {
+    pub(crate) fn detect(&mut self) -> Vec<Detection> {
         self.probe.phase_start(Phase::Detect);
         let mut found = Vec::new();
         for t in 0..self.net.po_taps.len() {
@@ -747,7 +747,7 @@ impl<P: Probe> Engine<P> {
     /// Computes all flip-flop updates from the settled values without
     /// committing them (flip-flops latch simultaneously, and the transition
     /// model's second pass needs the old state).
-    pub fn latch_collect(&mut self) -> LatchStash {
+    pub(crate) fn latch_collect(&mut self) -> LatchStash {
         self.probe.phase_start(Phase::LatchCollect);
         let mut updates = Vec::with_capacity(self.net.dff_nodes.len());
         for di in 0..self.net.dff_nodes.len() {
@@ -843,7 +843,7 @@ impl<P: Probe> Engine<P> {
 
     /// Commits a latch stash: writes new flip-flop values and fault lists,
     /// scheduling the fanouts of every changed flip-flop.
-    pub fn latch_commit(&mut self, stash: LatchStash) {
+    pub(crate) fn latch_commit(&mut self, stash: LatchStash) {
         self.probe.phase_start(Phase::LatchCommit);
         for up in stash.updates {
             let q = up.node;
@@ -879,7 +879,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Opens the telemetry scope for the pattern about to be simulated.
-    pub fn pattern_begin(&mut self) {
+    pub(crate) fn pattern_begin(&mut self) {
         self.probe.begin_pattern(u64::from(self.pattern_index));
     }
 
@@ -887,7 +887,7 @@ impl<P: Probe> Engine<P> {
     /// maintenance pass. With a recording probe this sweeps every node's
     /// fault-list length and samples peak memory; with [`NullProbe`] that
     /// block compiles out.
-    pub fn pattern_end(&mut self) {
+    pub(crate) fn pattern_end(&mut self) {
         if P::ENABLED {
             for ni in 0..self.net.num_nodes() {
                 let len =
@@ -920,13 +920,13 @@ impl<P: Probe> Engine<P> {
     }
 
     /// One stuck-at clock cycle: apply, settle, detect, latch.
-    pub fn step_stuck(&mut self, pattern: &[Logic]) -> Vec<Detection> {
+    pub(crate) fn step_stuck(&mut self, pattern: &[Logic]) -> Vec<Detection> {
         self.step_stuck_with(pattern, None)
     }
 
     /// One stuck-at clock cycle against an optional shared good-machine
     /// trace (see [`Engine::propagate_with`]).
-    pub fn step_stuck_with(
+    pub(crate) fn step_stuck_with(
         &mut self,
         pattern: &[Logic],
         shared: Option<&[Logic]>,
@@ -949,7 +949,7 @@ impl<P: Probe> Engine<P> {
     /// [`Engine::propagate_with`]. The good machine evolves identically in
     /// the stuck-at and transition flows (faults never touch it), so one
     /// trace serves both passes of a transition cycle.
-    pub fn good_cycle(&mut self, pattern: &[Logic]) -> Vec<Logic> {
+    pub(crate) fn good_cycle(&mut self, pattern: &[Logic]) -> Vec<Logic> {
         self.apply_inputs(pattern);
         self.propagate();
         let settled = self.good.clone();
@@ -961,7 +961,7 @@ impl<P: Probe> Engine<P> {
 
     /// Schedules the site nodes of all live transition faults (used by the
     /// transition engine's release pass).
-    pub fn schedule_transition_sites(&mut self) {
+    pub(crate) fn schedule_transition_sites(&mut self) {
         for fid in 0..self.net.descriptors.len() {
             let d = &self.net.descriptors[fid];
             if d.is_detected() && self.drop_detected {
@@ -992,7 +992,7 @@ impl<P: Probe> Engine<P> {
     /// Updates every transition fault's previous-pin value from the settled
     /// state (machine-specific: the fault's own element on the driver, or
     /// the good value).
-    pub fn record_prev_pins(&mut self) {
+    pub(crate) fn record_prev_pins(&mut self) {
         for fid in 0..self.net.descriptors.len() as u32 {
             let d = &self.net.descriptors[fid as usize];
             let LocalEffect::TransitionPin { pin, .. } = d.effect else {
@@ -1030,7 +1030,7 @@ impl<P: Probe> Engine<P> {
 
     /// The fault ids visible at a node with their values (diagnostics).
     #[allow(dead_code)]
-    pub fn visible_list(&self, n: NodeId) -> Vec<(u32, Logic)> {
+    pub(crate) fn visible_list(&self, n: NodeId) -> Vec<(u32, Logic)> {
         self.arena.to_vec(self.vis_head[n as usize])
     }
 
@@ -1038,7 +1038,7 @@ impl<P: Probe> Engine<P> {
     /// unique fault ids, termination at the sentinel, live-element
     /// accounting, and the permanent presence of each undropped local
     /// fault at its site. Panics with a description on violation.
-    pub fn assert_invariants(&self) {
+    pub(crate) fn assert_invariants(&self) {
         let mut counted = 0usize;
         for ni in 0..self.net.num_nodes() {
             for head in [self.vis_head[ni], self.inv_head[ni]] {
@@ -1086,7 +1086,7 @@ impl<P: Probe> Engine<P> {
     /// # Panics
     ///
     /// Panics with a description of the first violated law.
-    pub fn verify_after_pattern(&mut self) {
+    pub(crate) fn verify_after_pattern(&mut self) {
         if !self.verify {
             return;
         }
@@ -1159,6 +1159,37 @@ impl<P: Probe> Engine<P> {
         }
     }
 
+    /// Per-fault statuses in fault-id order. Faults the network compiler
+    /// proved untestable (redundant macro-internal faults) report
+    /// [`FaultStatus::Untestable`].
+    pub(crate) fn statuses(&self) -> Vec<FaultStatus> {
+        self.net
+            .descriptors
+            .iter()
+            .map(|d| {
+                if d.untestable {
+                    FaultStatus::Untestable
+                } else {
+                    match d.detected_at {
+                        Some(p) => FaultStatus::Detected {
+                            pattern: p as usize,
+                        },
+                        None => FaultStatus::Undetected,
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Number of faults detected so far.
+    pub(crate) fn detected(&self) -> usize {
+        self.net
+            .descriptors
+            .iter()
+            .filter(|d| d.is_detected())
+            .count()
+    }
+
     /// Paper-comparable memory model: peak live elements (at 5 bytes each
     /// in the link-free struct-of-arrays layout) plus descriptor overhead
     /// and the compiled model (node records, CSR adjacency, LUT pool),
@@ -1166,7 +1197,7 @@ impl<P: Probe> Engine<P> {
     /// per-fault transition state, the dense scheduler, and the merge-loop
     /// scratch vectors). Per-list terminal slots (at most one per node per
     /// head table) are bounded by the head-table term already counted.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let model = self.arena.peak() * Arena::ELEMENT_BYTES
             + self.net.descriptors.len() * 24
             + self.net.memory_bytes();

@@ -16,7 +16,9 @@
 //!
 //! [`ConcurrentSim`] is the stuck-at simulator ([`CsimVariant`] names the
 //! four configurations of Table 3); [`TransitionSim`] is the transition
-//! fault simulator of Table 6.
+//! fault simulator of Table 6. [`ShardedSim`] runs either [`FaultModel`]
+//! fault-sharded across worker threads; with one shard it is the serial
+//! simulator.
 //!
 //! # Examples
 //!
@@ -41,6 +43,7 @@ mod checkpoint;
 mod delay_mode;
 mod engine;
 mod list;
+mod model;
 mod network;
 mod parallel;
 mod sched;
@@ -50,9 +53,9 @@ mod transition;
 pub use checkpoint::{Checkpoint, CheckpointError, Model as CheckpointModel};
 pub use delay_mode::DelayCsim;
 pub use list::{Arena, FaultElement, ListBuilder, ListIter, NIL, TERMINAL_FAULT};
+pub use model::{stuck_levels, transition_levels, FaultModel};
 pub use parallel::{
-    detections_of, stuck_levels, transition_levels, GlobalDetection, ParallelSim,
-    ParallelTransitionSim, ShardPlan,
+    detections_of, GlobalDetection, ParallelSim, ParallelTransitionSim, ShardPlan, ShardedSim,
 };
 pub use stuck::{ConcurrentSim, CsimOptions, CsimVariant, StepResult};
 pub use transition::{TransitionOptions, TransitionSim};

@@ -4,8 +4,9 @@
 //! partitionable: every faulty machine lives on its own list elements and
 //! never interacts with another fault, so splitting the fault list across
 //! `P` independent engines changes nothing about per-fault semantics.
-//! [`ParallelSim`] (stuck-at) and [`ParallelTransitionSim`] (the §3
-//! transition model) exploit exactly that:
+//! [`ShardedSim`] exploits exactly that, for either [`FaultModel`]
+//! ([`ParallelSim`] for stuck-at, [`ParallelTransitionSim`] for the §3
+//! transition model):
 //!
 //! * the fault list is partitioned by a pluggable [`ShardPlan`] into `P`
 //!   exact-cover shards, one engine per shard,
@@ -21,8 +22,8 @@
 //! * results merge deterministically — statuses by global fault index,
 //!   detections sorted by `(pattern, fault id)` — so the output is
 //!   bit-identical for any thread count and shard plan, including
-//!   `P = 1`, which skips the good-trace machinery entirely and runs the
-//!   serial path.
+//!   `P = 1`, the serial simulator: it builds no good engine and starts
+//!   no worker thread.
 //!
 //! Determinism needs no locks because fault detection is a per-fault fact:
 //! whether (and at which pattern) fault `f` is detected depends only on
@@ -34,17 +35,16 @@
 use std::fmt;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cfs_faults::{FaultSimReport, FaultStatus, StuckAt, TransitionFault};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::engine::Engine;
-use crate::network::{build_gate_network, build_macro_network};
-use crate::stuck::{ConcurrentSim, CsimOptions};
-use crate::transition::{TransitionOptions, TransitionSim};
+use crate::model::FaultModel;
 
 /// Patterns per good-trace block (also the progress-callback
 /// granularity): bounds live trace memory while keeping channel traffic
@@ -76,8 +76,8 @@ pub enum ShardPlan {
     /// (`0..P`, `P-1..0`, …) so heavy faults spread evenly *and* each
     /// shard's total weight stays close. With plain levels as keys this
     /// degenerates to a level-spread plan; its intended keys are the SCOAP
-    /// detection-difficulty weights from `cfs-check` (see
-    /// [`ParallelSim::new_with_keys`]), which track how long a fault stays
+    /// detection-difficulty weights from `cfs-check` (the `keys` of
+    /// [`ShardedSim::with_probes`]), which track how long a fault stays
     /// undetected — and therefore how much list work it causes.
     WeightAware,
 }
@@ -104,10 +104,10 @@ impl ShardPlan {
     /// Parses a CLI spelling.
     pub fn parse(s: &str) -> Option<ShardPlan> {
         match s {
-            "round-robin" | "rr" => Some(ShardPlan::RoundRobin),
-            "contiguous" | "chunk" => Some(ShardPlan::Contiguous),
-            "level-aware" | "level" => Some(ShardPlan::LevelAware),
-            "weight-aware" | "weighted" | "scoap" => Some(ShardPlan::WeightAware),
+            "round-robin" => Some(ShardPlan::RoundRobin),
+            "contiguous" => Some(ShardPlan::Contiguous),
+            "level-aware" => Some(ShardPlan::LevelAware),
+            "weight-aware" => Some(ShardPlan::WeightAware),
             _ => None,
         }
     }
@@ -187,39 +187,8 @@ impl fmt::Display for ShardPlan {
     }
 }
 
-/// Site logic levels of a stuck-at fault list (input to
-/// [`ShardPlan::partition`]).
-pub fn stuck_levels(circuit: &Circuit, faults: &[StuckAt]) -> Vec<u32> {
-    faults
-        .iter()
-        .map(|f| circuit.level(f.site.gate()))
-        .collect()
-}
-
-/// Site logic levels of a transition fault list.
-pub fn transition_levels(circuit: &Circuit, faults: &[TransitionFault]) -> Vec<u32> {
-    faults.iter().map(|f| circuit.level(f.gate)).collect()
-}
-
 /// A detection in global fault-index terms: `(fault index, pattern)`.
 pub type GlobalDetection = (u32, u32);
-
-/// Merges per-fault statuses from shards back into the global order and
-/// derives the deterministic detection list: sorted by pattern, then by
-/// fault index. Shared by both parallel simulators.
-fn merge_statuses(
-    num_faults: usize,
-    shards: impl Iterator<Item = (Vec<usize>, Vec<FaultStatus>)>,
-) -> Vec<FaultStatus> {
-    let mut statuses = vec![FaultStatus::Undetected; num_faults];
-    for (global, local) in shards {
-        debug_assert_eq!(global.len(), local.len());
-        for (&g, &s) in global.iter().zip(&local) {
-            statuses[g] = s;
-        }
-    }
-    statuses
-}
 
 /// The deterministic detection list of a status vector: every detected
 /// fault as `(fault index, pattern)`, sorted by pattern then fault index —
@@ -316,17 +285,21 @@ fn dispatch<S, F>(
     });
 }
 
-struct StuckShard<P: Probe> {
-    sim: ConcurrentSim<P>,
+struct Shard<P: Probe> {
+    engine: Engine<P>,
     /// Global fault index per local fault id (ascending).
     global: Vec<usize>,
 }
 
-/// Fault-sharded parallel stuck-at simulator: `P` concurrent engines over
-/// disjoint fault shards, one shared good machine.
+/// Fault-sharded concurrent simulator, generic over the [`FaultModel`]:
+/// `P` engines over disjoint fault shards, one shared good machine.
 ///
-/// With `threads == 1` the single shard holds every fault and runs the
-/// exact serial code path (no good trace, no worker threads).
+/// One shard is the serial simulator: it holds no good engine, starts no
+/// worker thread, and steps exactly as [`ConcurrentSim`] or
+/// [`TransitionSim`] does.
+///
+/// [`ConcurrentSim`]: crate::ConcurrentSim
+/// [`TransitionSim`]: crate::TransitionSim
 ///
 /// # Examples
 ///
@@ -351,11 +324,12 @@ struct StuckShard<P: Probe> {
 /// assert_eq!(rp.statuses, rs.statuses);
 /// # Ok::<(), cfs_logic::ParseLogicError>(())
 /// ```
-pub struct ParallelSim<P: Probe = NullProbe> {
-    shards: Vec<StuckShard<P>>,
-    /// Fault-free engine advancing the shared good machine.
-    good: Engine,
-    options: CsimOptions,
+pub struct ShardedSim<M: FaultModel, P: Probe = NullProbe> {
+    shards: Vec<Shard<P>>,
+    /// Fault-free engine advancing the shared good machine; built only
+    /// when there is more than one shard.
+    good: Option<Engine>,
+    options: M::Options,
     plan: ShardPlan,
     circuit_name: String,
     num_faults: usize,
@@ -364,9 +338,18 @@ pub struct ParallelSim<P: Probe = NullProbe> {
     threads: usize,
 }
 
-impl<P: Probe> fmt::Debug for ParallelSim<P> {
+/// The fault-sharded stuck-at simulator.
+pub type ParallelSim<P = NullProbe> = ShardedSim<StuckAt, P>;
+
+/// The fault-sharded transition simulator (§3 model). The per-fault
+/// previous-pin state and the latch stash live inside each shard's own
+/// engine, so sharding changes nothing about the two-pass semantics.
+pub type ParallelTransitionSim<P = NullProbe> = ShardedSim<TransitionFault, P>;
+
+impl<M: FaultModel, P: Probe> fmt::Debug for ShardedSim<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelSim")
+        f.debug_struct("ShardedSim")
+            .field("model", &M::CHECKPOINT)
             .field("circuit", &self.circuit_name)
             .field("faults", &self.num_faults)
             .field("threads", &self.threads)
@@ -377,53 +360,32 @@ impl<P: Probe> fmt::Debug for ParallelSim<P> {
     }
 }
 
-impl ParallelSim {
-    /// Shards `faults` into `threads` engines per `plan`. Each shard
-    /// carries no probe and pays no instrumentation cost.
+impl<M: FaultModel> ShardedSim<M> {
+    /// Shards `faults` across `threads` engines per `plan` (see
+    /// [`ShardedSim::with_probes`]). Each shard carries no probe and pays
+    /// no instrumentation cost.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn new(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
     ) -> Self {
         Self::with_probes(circuit, faults, options, threads, plan, None, |_| NullProbe)
     }
-
-    /// Like [`ParallelSim::new`], but partitions on caller-supplied balance
-    /// keys (one per fault) instead of site logic levels — the hook for the
-    /// SCOAP detection-difficulty weights computed by `cfs-check`. Only
-    /// key-sensitive plans ([`ShardPlan::LevelAware`],
-    /// [`ShardPlan::WeightAware`]) behave differently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn new_with_keys(
-        circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            NullProbe
-        })
-    }
 }
 
-impl ParallelSim<SimMetrics> {
-    /// Like [`ParallelSim::new`], but every shard records a [`SimMetrics`]
-    /// probe; [`ParallelSim::snapshot`] merges them.
+impl<M: FaultModel> ShardedSim<M, SimMetrics> {
+    /// Like [`ShardedSim::new`], but every shard records a [`SimMetrics`]
+    /// probe; [`ShardedSim::snapshot`] merges them.
     pub fn instrumented(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
     ) -> Self {
@@ -431,33 +393,17 @@ impl ParallelSim<SimMetrics> {
             SimMetrics::new()
         })
     }
+}
 
-    /// [`ParallelSim::new_with_keys`] with recording probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn instrumented_with_keys(
-        circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            SimMetrics::new()
-        })
-    }
-
+impl<M: FaultModel, P: Probe + AsRef<SimMetrics>> ShardedSim<M, P> {
     /// Telemetry merged across all shards: counters summed, peaks maxed,
     /// rates recomputed (see [`MetricsSnapshot::merge_shard`]). The good
     /// engine's once-per-pattern work is folded into the event and
     /// good-evaluation totals so the sum stays comparable to a serial run.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut merged: Option<MetricsSnapshot> = None;
-        for shard in &self.shards {
-            let snap = shard.sim.engine.probe.snapshot("", &self.circuit_name);
+        for metrics in self.shard_metrics() {
+            let snap = metrics.snapshot("", &self.circuit_name);
             match merged.as_mut() {
                 None => merged = Some(snap),
                 Some(m) => m.merge_shard(&snap),
@@ -466,42 +412,46 @@ impl ParallelSim<SimMetrics> {
         let mut snap = merged.unwrap_or_default();
         snap.simulator = self.name_str();
         snap.circuit = self.circuit_name.clone();
-        snap.events += self.good.events;
-        snap.good_evals += self.good.good_evals;
+        if let Some(good) = &self.good {
+            snap.events += good.events;
+            snap.good_evals += good.good_evals;
+        }
         snap
     }
 
     /// Per-shard metric recorders, in shard order.
     pub fn shard_metrics(&self) -> impl Iterator<Item = &SimMetrics> {
-        self.shards.iter().map(|s| &s.sim.engine.probe)
+        self.shards.iter().map(|s| s.engine.probe.as_ref())
     }
 }
 
-impl<P: Probe> ParallelSim<P> {
-    /// The fully general constructor: shards `faults` into `threads`
-    /// engines per `plan` (partitioning on `keys` when given, site logic
-    /// levels otherwise), attaching `probe(shard_index)` to each shard —
-    /// the hook for per-shard trace recorders and other custom probes.
+impl<M: FaultModel, P: Probe> ShardedSim<M, P> {
+    /// The fully general constructor: one shard per thread, but never
+    /// more shards than faults (so no engine or worker is spent on an
+    /// empty shard), partitioned per `plan` on `keys` when given and on
+    /// site logic levels otherwise. `probe(shard_index)` is attached to
+    /// each shard — the hook for per-shard trace recorders and other
+    /// custom probes.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0` or a key slice has the wrong length.
     pub fn with_probes(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
         keys: Option<&[u32]>,
         probe: impl FnMut(usize) -> P,
     ) -> Self {
-        Self::with_probes_sharded(
-            circuit, faults, options, threads, threads, plan, keys, probe,
-        )
+        let shards = threads.min(faults.len()).max(1);
+        Self::with_probes_sharded(circuit, faults, options, threads, shards, plan, keys, probe)
     }
 
-    /// [`ParallelSim::with_probes`] with `shards` fault partitions driven
-    /// by `threads` workers; worker `w` owns shards `w, w + threads, …`.
+    /// [`ShardedSim::with_probes`] with exactly `shards` fault partitions
+    /// driven by `threads` workers; worker `w` owns shards
+    /// `w, w + threads, …`.
     ///
     /// # Panics
     ///
@@ -510,8 +460,8 @@ impl<P: Probe> ParallelSim<P> {
     #[allow(clippy::too_many_arguments)]
     pub fn with_probes_sharded(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M],
+        options: M::Options,
         threads: usize,
         shards: usize,
         plan: ShardPlan,
@@ -524,7 +474,7 @@ impl<P: Probe> ParallelSim<P> {
                 assert_eq!(keys.len(), faults.len(), "one balance key per fault");
                 plan.partition(keys, shards)
             }
-            None => plan.partition(&stuck_levels(circuit, faults), shards),
+            None => plan.partition(&M::site_levels(circuit, faults), shards),
         };
         Self::from_parts(circuit, faults, options, threads, plan, parts, probe)
     }
@@ -532,7 +482,7 @@ impl<P: Probe> ParallelSim<P> {
     /// Builds the simulator from an explicit fault partition — the hook
     /// for adversarial load shapes (one giant shard plus empties) that no
     /// [`ShardPlan`] would produce. `parts[k]` lists shard `k`'s global
-    /// fault indices; [`ParallelSim::plan`] reports the default plan.
+    /// fault indices; [`ShardedSim::plan`] reports the default plan.
     ///
     /// # Panics
     ///
@@ -541,8 +491,8 @@ impl<P: Probe> ParallelSim<P> {
     /// `0..faults.len()` (every index in exactly one part).
     pub fn with_partition(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M],
+        options: M::Options,
         threads: usize,
         parts: Vec<Vec<usize>>,
         probe: impl FnMut(usize) -> P,
@@ -561,8 +511,8 @@ impl<P: Probe> ParallelSim<P> {
 
     fn from_parts(
         circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
+        faults: &[M],
+        options: M::Options,
         threads: usize,
         plan: ShardPlan,
         parts: Vec<Vec<usize>>,
@@ -570,31 +520,26 @@ impl<P: Probe> ParallelSim<P> {
     ) -> Self {
         assert!(threads > 0, "at least one thread");
         assert_exact_cover(&parts, faults.len());
-        let shards = parts
+        let shards: Vec<Shard<P>> = parts
             .into_iter()
             .enumerate()
             .map(|(k, global)| {
-                let subset: Vec<StuckAt> = global.iter().map(|&i| faults[i]).collect();
-                StuckShard {
-                    sim: ConcurrentSim::with_probe(circuit, &subset, options.clone(), probe(k)),
+                let subset: Vec<M> = global.iter().map(|&i| faults[i]).collect();
+                Shard {
+                    engine: M::engine(circuit, &subset, &options, probe(k)),
                     global,
                 }
             })
             .collect();
         // The good engine must live on the same compiled network shape as
-        // the shards (macro collapsing renumbers nodes).
-        let net = if options.use_macros {
-            build_macro_network(circuit, &[], options.macro_max_inputs)
-        } else {
-            build_gate_network(circuit, &[])
-        };
-        let good = Engine::with_probe(
-            net,
-            options.split_invisible,
-            options.drop_detected,
-            NullProbe,
-        );
-        ParallelSim {
+        // the shards (macro collapsing renumbers nodes). It has no fault
+        // lists for the quiescence gate to fence, so it runs ungated.
+        let good = (shards.len() > 1).then(|| {
+            let mut good = M::engine(circuit, &[], &options, NullProbe);
+            good.quiesce_window = 0;
+            good
+        });
+        ShardedSim {
             shards,
             good,
             options,
@@ -610,8 +555,8 @@ impl<P: Probe> ParallelSim<P> {
         self.threads
     }
 
-    /// Fault-shard count (equals [`ParallelSim::threads`] unless
-    /// constructed oversharded).
+    /// Fault-shard count: the thread count, clamped to the fault count,
+    /// unless constructed with an explicit shard count or partition.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
@@ -622,12 +567,7 @@ impl<P: Probe> ParallelSim<P> {
     }
 
     fn name_str(&self) -> String {
-        let base = match (self.options.split_invisible, self.options.use_macros) {
-            (false, false) => "csim",
-            (true, false) => "csim-V",
-            (false, true) => "csim-M",
-            (true, true) => "csim-MV",
-        };
+        let base = M::name(&self.options);
         if self.threads == 1 {
             base.to_owned()
         } else {
@@ -642,9 +582,11 @@ impl<P: Probe> ParallelSim<P> {
     ///
     /// Panics if `state.len()` differs from the flip-flop count.
     pub fn set_state(&mut self, state: &[Logic]) {
-        self.good.set_dff_state(state);
+        if let Some(good) = &mut self.good {
+            good.set_dff_state(state);
+        }
         for shard in &mut self.shards {
-            shard.sim.set_state(state);
+            shard.engine.set_dff_state(state);
         }
     }
 
@@ -652,7 +594,7 @@ impl<P: Probe> ParallelSim<P> {
     /// regardless of the build profile — the CLI's `--paranoid`.
     pub fn set_paranoid(&mut self, on: bool) {
         for shard in &mut self.shards {
-            shard.sim.set_paranoid(on);
+            shard.engine.verify = on;
         }
     }
 
@@ -662,93 +604,52 @@ impl<P: Probe> ParallelSim<P> {
     pub fn shard_probes(&self) -> impl Iterator<Item = (&P, &[usize])> {
         self.shards
             .iter()
-            .map(|s| (s.sim.probe(), s.global.as_slice()))
+            .map(|s| (&s.engine.probe, s.global.as_slice()))
     }
 
-    /// `(events, good_evals)` of the shared good engine — the
-    /// once-per-pattern work a merged snapshot must fold back in. Zero on
-    /// the single-shard serial path, which never touches the good engine.
-    pub fn good_engine_work(&self) -> (u64, u64) {
-        (self.good.events, self.good.good_evals)
-    }
-}
-
-impl<P: Probe + Send> ParallelSim<P> {
-    /// Simulates a pattern sequence and assembles the merged report.
-    pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
-        self.run_with(patterns, |_, _| {})
+    /// Captures a pattern-boundary checkpoint of a one-shard simulator.
+    /// Call only between runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has more than one shard: a checkpoint
+    /// holds one engine.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint::capture(&self.only_shard().engine, M::CHECKPOINT)
     }
 
-    /// Like [`ParallelSim::run`], but calls `after_block(self, done)` on
-    /// the coordinating thread after each block of patterns settles on
-    /// every shard (`done` = patterns completed so far). The callback sees
-    /// quiescent shards, so it may read per-shard probes and merge them —
-    /// the deterministic hook behind `--trace-every` progress under
-    /// `--threads N`. On sharded runs the callbacks replay after the
-    /// workers finish; because probes record per-pattern, the merged view
-    /// at each boundary is identical to a barriered run's.
-    pub fn run_with(
-        &mut self,
-        patterns: &[Vec<Logic>],
-        mut after_block: impl FnMut(&Self, usize),
-    ) -> FaultSimReport {
-        let start = Instant::now();
-        let mut done = 0usize;
-        if self.threads == 1 && self.shards.len() == 1 {
-            // Serial path: identical to ConcurrentSim::run.
-            for block in patterns.chunks(BLOCK) {
-                for p in block {
-                    self.shards[0].sim.engine.step_stuck(p);
-                }
-                done += block.len();
-                after_block(self, done);
-            }
-        } else {
-            let Self {
-                shards,
-                good,
-                threads,
-                ..
-            } = self;
-            dispatch(
-                *threads,
-                good,
-                shards,
-                patterns,
-                |shard: &mut StuckShard<P>, p, t| {
-                    shard.sim.engine.step_stuck_with(p, Some(t));
-                },
-            );
-            for block in patterns.chunks(BLOCK) {
-                done += block.len();
-                after_block(self, done);
-            }
-        }
-        self.report(patterns.len(), start.elapsed())
+    /// Restores a checkpoint into a one-shard simulator configured like
+    /// the one that captured it (same circuit, fault universe, and
+    /// options).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] when the checkpoint does not match
+    /// this simulator's model or configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has more than one shard.
+    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
+        self.only_shard();
+        ck.restore_into(&mut self.shards[0].engine, M::CHECKPOINT)
     }
 
-    fn report(&self, patterns: usize, cpu: Duration) -> FaultSimReport {
-        FaultSimReport {
-            simulator: self.name_str(),
-            circuit: self.circuit_name.clone(),
-            patterns,
-            statuses: self.statuses(),
-            cpu,
-            memory_bytes: self.memory_bytes(),
-            events: self.events(),
-            evaluations: self.fault_evaluations(),
-        }
+    fn only_shard(&self) -> &Shard<P> {
+        assert_eq!(self.shards.len(), 1, "a checkpoint holds one shard");
+        &self.shards[0]
     }
 
-    /// Per-fault statuses in the global fault order given to
-    /// [`ParallelSim::new`] — bit-identical for any thread count.
+    /// Per-fault statuses in the global fault order given to the
+    /// constructor — bit-identical for any thread count.
     pub fn statuses(&self) -> Vec<FaultStatus> {
-        merge_statuses(
-            self.num_faults,
-            self.shards
-                .iter()
-                .map(|s| (s.global.clone(), s.sim.statuses())),
-        )
+        let mut statuses = vec![FaultStatus::Undetected; self.num_faults];
+        for shard in &self.shards {
+            for (&g, s) in shard.global.iter().zip(shard.engine.statuses()) {
+                statuses[g] = s;
+            }
+        }
+        statuses
     }
 
     /// The deterministic merged detection list: `(global fault index,
@@ -759,31 +660,28 @@ impl<P: Probe + Send> ParallelSim<P> {
 
     /// Faults detected so far.
     pub fn detected(&self) -> usize {
-        self.shards.iter().map(|s| s.sim.detected()).sum()
+        self.shards.iter().map(|s| s.engine.detected()).sum()
     }
 
     /// Node activations across all shards plus the shared good engine.
     pub fn events(&self) -> u64 {
-        self.good.events + self.shards.iter().map(|s| s.sim.events()).sum::<u64>()
+        let good = self.good.as_ref().map_or(0, |g| g.events);
+        good + self.shards.iter().map(|s| s.engine.events).sum::<u64>()
     }
 
     /// Faulty-machine evaluations across all shards.
     pub fn fault_evaluations(&self) -> u64 {
-        self.shards.iter().map(|s| s.sim.fault_evaluations()).sum()
+        self.shards.iter().map(|s| s.engine.fault_evals).sum()
     }
 
     /// Paper-comparable memory model summed over shards and the good
     /// engine.
     pub fn memory_bytes(&self) -> usize {
-        let good = if self.threads == 1 && self.shards.len() == 1 {
-            0 // serial path never touches the good engine
-        } else {
-            self.good.memory_bytes()
-        };
+        let good = self.good.as_ref().map_or(0, Engine::memory_bytes);
         good + self
             .shards
             .iter()
-            .map(|s| s.sim.memory_bytes())
+            .map(|s| s.engine.memory_bytes())
             .sum::<usize>()
     }
 
@@ -794,271 +692,27 @@ impl<P: Probe + Send> ParallelSim<P> {
     pub fn peak_elements(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.sim.peak_elements())
+            .map(|s| s.engine.arena.peak())
             .max()
             .unwrap_or(0)
     }
 }
 
-struct TransitionShard<P: Probe> {
-    sim: TransitionSim<P>,
-    global: Vec<usize>,
-}
-
-/// Fault-sharded parallel transition simulator (§3 model): like
-/// [`ParallelSim`], with the two-pass hold/release cycle per shard. The
-/// per-fault previous-pin state and the latch stash live inside each
-/// shard's own engine, so sharding changes nothing about the two-pass
-/// semantics.
-pub struct ParallelTransitionSim<P: Probe = NullProbe> {
-    shards: Vec<TransitionShard<P>>,
-    good: Engine,
-    plan: ShardPlan,
-    circuit_name: String,
-    num_faults: usize,
-    /// Worker threads (see [`ParallelSim`]).
-    threads: usize,
-}
-
-impl<P: Probe> fmt::Debug for ParallelTransitionSim<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelTransitionSim")
-            .field("circuit", &self.circuit_name)
-            .field("faults", &self.num_faults)
-            .field("threads", &self.threads)
-            .field("shards", &self.shards.len())
-            .field("plan", &self.plan)
-            .finish()
-    }
-}
-
-impl ParallelTransitionSim {
-    /// Shards the transition fault list into `threads` engines per `plan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| NullProbe)
-    }
-
-    /// Like [`ParallelTransitionSim::new`] with caller-supplied balance
-    /// keys (see [`ParallelSim::new_with_keys`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn new_with_keys(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            NullProbe
-        })
-    }
-}
-
-impl ParallelTransitionSim<SimMetrics> {
-    /// Like [`ParallelTransitionSim::new`] with recording probes.
-    pub fn instrumented(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| {
-            SimMetrics::new()
-        })
-    }
-
-    /// [`ParallelTransitionSim::new_with_keys`] with recording probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `keys.len() != faults.len()`.
-    pub fn instrumented_with_keys(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: &[u32],
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, Some(keys), |_| {
-            SimMetrics::new()
-        })
-    }
-
-    /// Telemetry merged across all shards plus the good engine's work.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut merged: Option<MetricsSnapshot> = None;
-        for shard in &self.shards {
-            let snap = shard
-                .sim
-                .engine
-                .probe
-                .snapshot("csim-T", &self.circuit_name);
-            match merged.as_mut() {
-                None => merged = Some(snap),
-                Some(m) => m.merge_shard(&snap),
-            }
-        }
-        let mut snap = merged.unwrap_or_default();
-        snap.simulator = self.name_str();
-        snap.circuit = self.circuit_name.clone();
-        snap.events += self.good.events;
-        snap.good_evals += self.good.good_evals;
-        snap
-    }
-
-    /// Per-shard metric recorders, in shard order.
-    pub fn shard_metrics(&self) -> impl Iterator<Item = &SimMetrics> {
-        self.shards.iter().map(|s| &s.sim.engine.probe)
-    }
-}
-
-impl<P: Probe> ParallelTransitionSim<P> {
-    /// The fully general constructor with a per-shard probe factory (see
-    /// [`ParallelSim::with_probes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a key slice has the wrong length.
-    pub fn with_probes(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        plan: ShardPlan,
-        keys: Option<&[u32]>,
-        probe: impl FnMut(usize) -> P,
-    ) -> Self {
-        Self::with_probes_sharded(
-            circuit, faults, options, threads, threads, plan, keys, probe,
-        )
-    }
-
-    /// [`ParallelTransitionSim::with_probes`] with decoupled axes (see
-    /// [`ParallelSim::with_probes_sharded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`, `shards == 0`, or a key slice has the
-    /// wrong length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_probes_sharded(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        threads: usize,
-        shards: usize,
-        plan: ShardPlan,
-        keys: Option<&[u32]>,
-        mut probe: impl FnMut(usize) -> P,
-    ) -> Self {
-        assert!(threads > 0, "at least one thread");
-        assert!(shards > 0, "at least one shard");
-        let parts = match keys {
-            Some(keys) => {
-                assert_eq!(keys.len(), faults.len(), "one balance key per fault");
-                plan.partition(keys, shards)
-            }
-            None => plan.partition(&transition_levels(circuit, faults), shards),
-        };
-        assert_exact_cover(&parts, faults.len());
-        let shards = parts
-            .into_iter()
-            .enumerate()
-            .map(|(k, global)| {
-                let subset: Vec<TransitionFault> = global.iter().map(|&i| faults[i]).collect();
-                TransitionShard {
-                    sim: TransitionSim::with_probe(circuit, &subset, options.clone(), probe(k)),
-                    global,
-                }
-            })
-            .collect();
-        let net = build_gate_network(circuit, &[]);
-        let good = Engine::with_probe(
-            net,
-            options.split_invisible,
-            options.drop_detected,
-            NullProbe,
-        );
-        ParallelTransitionSim {
-            shards,
-            good,
-            plan,
-            circuit_name: circuit.name().to_owned(),
-            num_faults: faults.len(),
-            threads,
-        }
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Fault-shard count (see [`ParallelSim::num_shards`]).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The sharding plan in use.
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
-    }
-
-    fn name_str(&self) -> String {
-        if self.threads == 1 {
-            "csim-T".to_owned()
-        } else {
-            format!("csim-T-p{}", self.threads)
-        }
-    }
-
-    /// Forces every shard's per-pattern invariant verifier on (or off)
-    /// regardless of the build profile — the CLI's `--paranoid`.
-    pub fn set_paranoid(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.sim.set_paranoid(on);
-        }
-    }
-
-    /// Per-shard probes paired with their global fault maps, in shard
-    /// order (see [`ParallelSim::shard_probes`]).
-    pub fn shard_probes(&self) -> impl Iterator<Item = (&P, &[usize])> {
-        self.shards
-            .iter()
-            .map(|s| (s.sim.probe(), s.global.as_slice()))
-    }
-
-    /// `(events, good_evals)` of the shared good engine (see
-    /// [`ParallelSim::good_engine_work`]).
-    pub fn good_engine_work(&self) -> (u64, u64) {
-        (self.good.events, self.good.good_evals)
-    }
-}
-
-impl<P: Probe + Send> ParallelTransitionSim<P> {
+impl<M: FaultModel, P: Probe + Send> ShardedSim<M, P> {
     /// Simulates a pattern sequence and assembles the merged report.
     pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
         self.run_with(patterns, |_, _| {})
     }
 
-    /// Like [`ParallelTransitionSim::run`], with a per-block callback on
-    /// the coordinating thread (see [`ParallelSim::run_with`]).
+    /// Like [`ShardedSim::run`], but calls `after_block(self, done)` on
+    /// the coordinating thread after each block of patterns settles on
+    /// every shard (`done` = patterns completed so far in this call). The
+    /// callback sees quiescent shards, so it may read per-shard probes and
+    /// merge them — the deterministic hook behind `--trace-every` progress
+    /// under `--threads N`. One shard calls back as it goes; on sharded
+    /// runs the callbacks replay after the workers finish, and because
+    /// probes record per-pattern, the merged view at each boundary is
+    /// identical to a barriered run's.
     pub fn run_with(
         &mut self,
         patterns: &[Vec<Logic>],
@@ -1066,112 +720,48 @@ impl<P: Probe + Send> ParallelTransitionSim<P> {
     ) -> FaultSimReport {
         let start = Instant::now();
         let mut done = 0usize;
-        if self.threads == 1 && self.shards.len() == 1 {
-            for block in patterns.chunks(BLOCK) {
-                for p in block {
-                    self.shards[0].sim.step(p);
-                }
-                done += block.len();
-                after_block(self, done);
-            }
-        } else {
-            let Self {
-                shards,
-                good,
-                threads,
-                ..
-            } = self;
+        if let Some(good) = &mut self.good {
             dispatch(
-                *threads,
+                self.threads,
                 good,
-                shards,
+                &mut self.shards,
                 patterns,
-                |shard: &mut TransitionShard<P>, p, t| {
-                    shard.sim.step_with(p, Some(t));
+                |shard: &mut Shard<P>, p, t| {
+                    M::step(&mut shard.engine, p, Some(t));
                 },
             );
             for block in patterns.chunks(BLOCK) {
                 done += block.len();
                 after_block(self, done);
             }
+        } else {
+            for block in patterns.chunks(BLOCK) {
+                for p in block {
+                    M::step(&mut self.shards[0].engine, p, None);
+                }
+                done += block.len();
+                after_block(self, done);
+            }
         }
-        self.report(patterns.len(), start.elapsed())
-    }
-
-    fn report(&self, patterns: usize, cpu: Duration) -> FaultSimReport {
         FaultSimReport {
             simulator: self.name_str(),
             circuit: self.circuit_name.clone(),
-            patterns,
+            patterns: patterns.len(),
             statuses: self.statuses(),
-            cpu,
+            cpu: start.elapsed(),
             memory_bytes: self.memory_bytes(),
             events: self.events(),
             evaluations: self.fault_evaluations(),
         }
-    }
-
-    /// Per-fault statuses in the global fault order.
-    pub fn statuses(&self) -> Vec<FaultStatus> {
-        merge_statuses(
-            self.num_faults,
-            self.shards
-                .iter()
-                .map(|s| (s.global.clone(), s.sim.statuses())),
-        )
-    }
-
-    /// The deterministic merged detection list.
-    pub fn detections(&self) -> Vec<GlobalDetection> {
-        detections_of(&self.statuses())
-    }
-
-    /// Faults detected so far.
-    pub fn detected(&self) -> usize {
-        self.shards.iter().map(|s| s.sim.detected()).sum()
-    }
-
-    /// Node activations across all shards plus the shared good engine.
-    pub fn events(&self) -> u64 {
-        self.good.events + self.shards.iter().map(|s| s.sim.events()).sum::<u64>()
-    }
-
-    /// Faulty-machine evaluations across all shards.
-    pub fn fault_evaluations(&self) -> u64 {
-        self.shards.iter().map(|s| s.sim.fault_evaluations()).sum()
-    }
-
-    /// Paper-comparable memory model summed over shards and the good
-    /// engine.
-    pub fn memory_bytes(&self) -> usize {
-        let good = if self.threads == 1 && self.shards.len() == 1 {
-            0
-        } else {
-            self.good.memory_bytes()
-        };
-        good + self
-            .shards
-            .iter()
-            .map(|s| s.sim.memory_bytes())
-            .sum::<usize>()
-    }
-
-    /// Peak live fault elements: the maximum over shards (see
-    /// [`ParallelSim::peak_elements`]).
-    pub fn peak_elements(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.sim.peak_elements())
-            .max()
-            .unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stuck::CsimVariant;
-    use cfs_faults::{enumerate_stuck_at, enumerate_transition};
+    use crate::stuck::{ConcurrentSim, CsimVariant};
+    use crate::transition::{TransitionOptions, TransitionSim};
+    use cfs_faults::{collapse_stuck_at, enumerate_stuck_at, enumerate_transition};
     use cfs_logic::parse_pattern;
     use cfs_netlist::data::s27;
 
@@ -1240,21 +830,29 @@ mod tests {
         // Arbitrary keys: results must not depend on the partition.
         let keys: Vec<u32> = (0..faults.len() as u32).map(|i| (i * 37) % 13).collect();
         for plan in [ShardPlan::WeightAware, ShardPlan::LevelAware] {
-            let mut par =
-                ParallelSim::new_with_keys(&c, &faults, CsimVariant::Mv.options(), 3, plan, &keys);
+            let mut par = ParallelSim::with_probes(
+                &c,
+                &faults,
+                CsimVariant::Mv.options(),
+                3,
+                plan,
+                Some(&keys),
+                |_| NullProbe,
+            );
             assert_eq!(par.run(&patterns()).statuses, reference.statuses, "{plan}");
         }
         let tfaults = enumerate_transition(&c);
         let mut tserial = TransitionSim::new(&c, &tfaults, TransitionOptions::default());
         let treference = tserial.run(&patterns());
         let tkeys: Vec<u32> = (0..tfaults.len() as u32).map(|i| (i * 31) % 7).collect();
-        let mut tpar = ParallelTransitionSim::new_with_keys(
+        let mut tpar = ParallelTransitionSim::with_probes(
             &c,
             &tfaults,
             TransitionOptions::default(),
             3,
             ShardPlan::WeightAware,
-            &tkeys,
+            Some(&tkeys),
+            |_| NullProbe,
         );
         assert_eq!(tpar.run(&patterns()).statuses, treference.statuses);
     }
@@ -1331,5 +929,103 @@ mod tests {
         assert_eq!(snap.events, report.events);
         assert_eq!(snap.fault_evals, report.evaluations);
         assert!(snap.simulator.ends_with("-p3"), "{}", snap.simulator);
+    }
+
+    #[test]
+    fn one_shard_holds_no_good_engine() {
+        let c = s27();
+        let faults = enumerate_stuck_at(&c);
+        let serial = ParallelSim::new(
+            &c,
+            &faults,
+            CsimVariant::Mv.options(),
+            1,
+            ShardPlan::RoundRobin,
+        );
+        assert!(
+            serial.good.is_none(),
+            "one shard steps its own good machine"
+        );
+        let oversubscribed = ParallelSim::with_probes_sharded(
+            &c,
+            &faults,
+            CsimVariant::Mv.options(),
+            4,
+            1,
+            ShardPlan::RoundRobin,
+            None,
+            |_| NullProbe,
+        );
+        assert!(oversubscribed.good.is_none());
+        let sharded = ParallelSim::new(
+            &c,
+            &faults,
+            CsimVariant::Mv.options(),
+            2,
+            ShardPlan::RoundRobin,
+        );
+        assert!(sharded.good.is_some());
+    }
+
+    #[test]
+    fn shard_count_is_clamped_to_the_fault_count() {
+        let c = s27();
+        let faults = collapse_stuck_at(&c).representatives;
+        let reference = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options()).run(&patterns());
+        let mut par = ParallelSim::new(
+            &c,
+            &faults,
+            CsimVariant::Mv.options(),
+            64,
+            ShardPlan::RoundRobin,
+        );
+        assert_eq!(par.num_shards(), 26, "one shard per collapsed s27 fault");
+        assert_eq!(par.threads(), 64);
+        let report = par.run(&patterns());
+        assert_eq!(report.simulator, "csim-MV-p64");
+        assert_eq!(report.statuses, reference.statuses);
+        assert_eq!(par.detections(), detections_of(&reference.statuses));
+        let none = ParallelTransitionSim::new(
+            &c,
+            &[],
+            TransitionOptions::default(),
+            8,
+            ShardPlan::RoundRobin,
+        );
+        assert_eq!(
+            none.num_shards(),
+            1,
+            "an empty universe still gets one shard"
+        );
+    }
+
+    #[test]
+    fn one_shard_checkpoint_resumes_like_a_cold_run() {
+        let c = s27();
+        let faults = enumerate_transition(&c);
+        let pats = patterns();
+        let options = TransitionOptions::default();
+        let cold = TransitionSim::new(&c, &faults, options.clone()).run(&pats);
+        let mut first =
+            ParallelTransitionSim::new(&c, &faults, options.clone(), 1, ShardPlan::RoundRobin);
+        first.run(&pats[..3]);
+        let ck = first.checkpoint();
+        assert_eq!(ck.pattern_index(), 3);
+        let mut resumed =
+            ParallelTransitionSim::new(&c, &faults, options, 1, ShardPlan::RoundRobin);
+        resumed.restore(&ck).unwrap();
+        resumed.run(&pats[3..]);
+        assert_eq!(resumed.statuses(), cold.statuses);
+        let mut stuck = ParallelSim::new(
+            &c,
+            &enumerate_stuck_at(&c),
+            CsimVariant::Mv.options(),
+            1,
+            ShardPlan::RoundRobin,
+        );
+        assert!(
+            stuck.restore(&ck).is_err(),
+            "a transition checkpoint is refused by a stuck-at sim"
+        );
     }
 }

@@ -10,7 +10,8 @@ use cfs_netlist::{Circuit, DEFAULT_MACRO_MAX_INPUTS};
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 
 use crate::engine::Engine;
-use crate::network::{build_gate_network, build_macro_network, FaultSpec};
+use crate::model::sealed::Sealed as _;
+use crate::model::FaultModel as _;
 
 /// Configuration of the concurrent simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,17 +176,8 @@ impl<P: Probe> ConcurrentSim<P> {
         options: CsimOptions,
         probe: P,
     ) -> Self {
-        let specs: Vec<FaultSpec> = faults.iter().map(|&f| FaultSpec::Stuck(f)).collect();
-        let net = if options.use_macros {
-            build_macro_network(circuit, &specs, options.macro_max_inputs)
-        } else {
-            build_gate_network(circuit, &specs)
-        };
-        let mut engine =
-            Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
-        engine.quiesce_window = options.quiesce_window;
         ConcurrentSim {
-            engine,
+            engine: StuckAt::engine(circuit, faults, &options, probe),
             options,
             circuit_name: circuit.name().to_owned(),
             num_faults: faults.len(),
@@ -204,12 +196,7 @@ impl<P: Probe> ConcurrentSim<P> {
 
     /// The simulator's display name (`csim`, `csim-V`, `csim-M`, `csim-MV`).
     pub fn name(&self) -> &'static str {
-        match (self.options.split_invisible, self.options.use_macros) {
-            (false, false) => "csim",
-            (true, false) => "csim-V",
-            (false, true) => "csim-M",
-            (true, true) => "csim-MV",
-        }
+        StuckAt::name(&self.options)
     }
 
     /// Forces the good-machine flip-flop state (e.g., a reset state); every
@@ -264,33 +251,12 @@ impl<P: Probe> ConcurrentSim<P> {
     /// Per-fault statuses, aligned with the fault list given to
     /// [`ConcurrentSim::new`].
     pub fn statuses(&self) -> Vec<FaultStatus> {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .map(|d| {
-                if d.untestable {
-                    FaultStatus::Untestable
-                } else {
-                    match d.detected_at {
-                        Some(p) => FaultStatus::Detected {
-                            pattern: p as usize,
-                        },
-                        None => FaultStatus::Undetected,
-                    }
-                }
-            })
-            .collect()
+        self.engine.statuses()
     }
 
     /// Number of faults detected so far.
     pub fn detected(&self) -> usize {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .filter(|d| d.is_detected())
-            .count()
+        self.engine.detected()
     }
 
     /// Live fault elements right now.

@@ -21,8 +21,8 @@ use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Phase, Probe, SimMetrics};
 
-use crate::engine::Engine;
-use crate::network::{build_gate_network, FaultSpec};
+use crate::engine::{Detection, Engine};
+use crate::model::sealed::Sealed as _;
 
 /// Configuration of the transition fault simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,13 +123,8 @@ impl<P: Probe> TransitionSim<P> {
         options: TransitionOptions,
         probe: P,
     ) -> Self {
-        let specs: Vec<FaultSpec> = faults.iter().map(|&f| FaultSpec::Transition(f)).collect();
-        let net = build_gate_network(circuit, &specs);
-        let mut engine =
-            Engine::with_probe(net, options.split_invisible, options.drop_detected, probe);
-        engine.quiesce_window = options.quiesce_window;
         TransitionSim {
-            engine,
+            engine: TransitionFault::engine(circuit, faults, &options, probe),
             circuit_name: circuit.name().to_owned(),
             num_faults: faults.len(),
         }
@@ -142,36 +137,11 @@ impl<P: Probe> TransitionSim<P> {
     ///
     /// Panics if `inputs.len()` differs from the primary-input count.
     pub fn step(&mut self, inputs: &[Logic]) -> Vec<usize> {
-        self.step_with(inputs, None)
-    }
-
-    /// One clock cycle against an optional shared good-machine trace (the
-    /// settled good values for this cycle, computed once by a fault-free
-    /// engine). The good machine is untouched by the hold/release passes,
-    /// so the same trace serves both.
-    pub(crate) fn step_with(&mut self, inputs: &[Logic], shared: Option<&[Logic]>) -> Vec<usize> {
-        self.engine.pattern_begin();
-        // Pass 1: transitions held; sample and latch masters.
-        self.engine.probe.phase_start(Phase::TransitionFirst);
-        self.engine.transition_hold = true;
-        self.engine.apply_inputs(inputs);
-        self.engine.propagate_with(shared);
-        let detections = self.engine.detect();
-        let stash = self.engine.latch_collect();
-        self.engine.probe.phase_end(Phase::TransitionFirst);
-        // Pass 2: transitions released, old flip-flop state still visible.
-        self.engine.probe.phase_start(Phase::TransitionSecond);
-        self.engine.transition_hold = false;
-        self.engine.schedule_transition_sites();
-        self.engine.propagate_with(shared);
-        self.engine.record_prev_pins();
-        // Slaves take the stashed state only now.
-        self.engine.latch_commit(stash);
-        self.engine.probe.phase_end(Phase::TransitionSecond);
-        self.engine.pattern_index += 1;
-        self.engine.pattern_end();
-        self.engine.verify_after_pattern();
-        detections.into_iter().map(|(f, _)| f as usize).collect()
+        self.engine
+            .step_transition(inputs, None)
+            .into_iter()
+            .map(|(f, _)| f as usize)
+            .collect()
     }
 
     /// Forces the per-pattern invariant verifier on (or off) regardless of
@@ -212,27 +182,12 @@ impl<P: Probe> TransitionSim<P> {
     /// Per-fault statuses, aligned with the fault list given to
     /// [`TransitionSim::new`].
     pub fn statuses(&self) -> Vec<FaultStatus> {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .map(|d| match d.detected_at {
-                Some(p) => FaultStatus::Detected {
-                    pattern: p as usize,
-                },
-                None => FaultStatus::Undetected,
-            })
-            .collect()
+        self.engine.statuses()
     }
 
     /// Number of faults detected so far.
     pub fn detected(&self) -> usize {
-        self.engine
-            .net
-            .descriptors
-            .iter()
-            .filter(|d| d.is_detected())
-            .count()
+        self.engine.detected()
     }
 
     /// Peak live fault elements so far.
@@ -284,5 +239,41 @@ impl<P: Probe> TransitionSim<P> {
         ck: &crate::checkpoint::Checkpoint,
     ) -> Result<(), crate::checkpoint::CheckpointError> {
         ck.restore_into(&mut self.engine, crate::checkpoint::Model::Transition)
+    }
+}
+
+impl<P: Probe> Engine<P> {
+    /// One transition clock cycle (both passes) against an optional shared
+    /// good-machine trace (the settled good values for this cycle,
+    /// computed once by a fault-free engine). The good machine is
+    /// untouched by the hold/release passes, so the same trace serves
+    /// both.
+    pub(crate) fn step_transition(
+        &mut self,
+        inputs: &[Logic],
+        shared: Option<&[Logic]>,
+    ) -> Vec<Detection> {
+        self.pattern_begin();
+        // Pass 1: transitions held; sample and latch masters.
+        self.probe.phase_start(Phase::TransitionFirst);
+        self.transition_hold = true;
+        self.apply_inputs(inputs);
+        self.propagate_with(shared);
+        let detections = self.detect();
+        let stash = self.latch_collect();
+        self.probe.phase_end(Phase::TransitionFirst);
+        // Pass 2: transitions released, old flip-flop state still visible.
+        self.probe.phase_start(Phase::TransitionSecond);
+        self.transition_hold = false;
+        self.schedule_transition_sites();
+        self.propagate_with(shared);
+        self.record_prev_pins();
+        // Slaves take the stashed state only now.
+        self.latch_commit(stash);
+        self.probe.phase_end(Phase::TransitionSecond);
+        self.pattern_index += 1;
+        self.pattern_end();
+        self.verify_after_pattern();
+        detections
     }
 }

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::hist::Log2Histogram;
-use crate::probe::Probe;
+use crate::probe::{PairProbe, Probe};
 use crate::snapshot::MetricsSnapshot;
 use crate::timing::{Phase, PhaseTimes};
 
@@ -201,6 +201,21 @@ impl SimMetrics {
             trace_dropped: 0,
             phases: self.phases,
         }
+    }
+}
+
+/// Lets code generic over a probe reach its metrics, whether the probe is a
+/// [`SimMetrics`] alone or one paired with another recorder.
+impl AsRef<SimMetrics> for SimMetrics {
+    fn as_ref(&self) -> &SimMetrics {
+        self
+    }
+}
+
+/// The metrics half of a metrics-plus-recorder pair.
+impl<B> AsRef<SimMetrics> for PairProbe<SimMetrics, B> {
+    fn as_ref(&self) -> &SimMetrics {
+        &self.0
     }
 }
 
