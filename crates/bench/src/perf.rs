@@ -9,9 +9,13 @@
 //! cargo run --release -p cfs-bench --bin repro-tables -- --bench-json BENCH.json
 //! ```
 //!
-//! The JSON is stable and diffable: work counters (`events_per_pattern`,
-//! `detected`) are deterministic for a given circuit/seed and act as a
-//! drift gate in CI (`--bench-check`), while timings are advisory. Passing
+//! Every cell times the one simulator users run, `cfs_core::ShardedSim`
+//! (one shard for serial cells), through one generic `Bench::measure`.
+//!
+//! The JSON is stable and diffable: work and memory counters (`events`,
+//! `detected`, `peak_elements`, `memory_bytes`) are deterministic for a
+//! given circuit/seed and act as a drift gate in CI (`--bench-check`),
+//! while timings are advisory. Passing
 //! `--bench-baseline FILE` embeds a previously recorded run and computes
 //! wall-time speedups against it, which is how a perf PR records a real
 //! before/after trajectory.
@@ -63,12 +67,10 @@ use cfs_check::{
     ImplicationGraph, LearnOptions,
 };
 use cfs_core::{
-    Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, ParallelSim, ShardPlan, TransitionSim,
+    Arena, Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, FaultModel, Probe, ShardPlan,
+    ShardedSim, SimMetrics, TransitionOptions, TransitionSim,
 };
-use cfs_faults::{
-    collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus, ImpactUniverse,
-    PrunedUniverse, StuckAt, TransitionFault,
-};
+use cfs_faults::{collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
 use cfs_netlist::{apply_edit, BenchEdit, Circuit};
 use cfs_telemetry::{write_json_f64, write_json_string, JsonValue, MetricsSnapshot, Phase};
@@ -223,535 +225,143 @@ fn phase_seconds(snap: &MetricsSnapshot) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// Runs one stuck-at configuration: timed uninstrumented repeats plus one
-/// instrumented repetition for the phase breakdown.
-fn run_stuck(
-    circuit: &Circuit,
-    variant: CsimVariant,
-    threads: usize,
-    patterns: &[Vec<Logic>],
+/// Faults detected in a status vector.
+fn count_detected(statuses: &[FaultStatus]) -> usize {
+    statuses.iter().filter(|s| s.is_detected()).count()
+}
+
+/// Copies a finished simulator's deterministic counters into `run`.
+fn record<M: FaultModel, P: Probe>(run: &mut PerfRun, sim: &ShardedSim<M, P>, detected: usize) {
+    run.events = sim.events();
+    run.events_per_pattern = run.events as f64 / run.patterns.max(1) as f64;
+    run.detected = detected;
+    // With threads the per-shard maximum: shards partition the fault
+    // universe, so the widest shard bounds the widest per-engine arena a
+    // reader has to provision for.
+    run.peak_elements = sim.peak_elements();
+    run.peak_arena_bytes = run.peak_elements * Arena::ELEMENT_BYTES;
+    run.memory_bytes = sim.memory_bytes();
+}
+
+/// What every cell of one circuit shares: the circuit simulated, its
+/// stimulus, and the number of timed repeats.
+#[derive(Clone, Copy)]
+struct Bench<'a> {
+    circuit: &'a Circuit,
+    patterns: &'a [Vec<Logic>],
     repeats: usize,
-) -> PerfRun {
-    let faults = collapse_stuck_at(circuit).representatives;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut peak_arena_bytes = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        if threads == 1 {
-            let mut sim = ConcurrentSim::new(circuit, &faults, variant.options());
-            let start = Instant::now();
-            sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = sim.detected();
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        } else {
-            let mut sim = ParallelSim::new(
-                circuit,
-                &faults,
-                variant.options(),
-                threads,
-                ShardPlan::RoundRobin,
-            );
-            let start = Instant::now();
-            sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = sim.detected();
-            // The per-shard maximum: shards partition the fault universe,
-            // so the widest shard bounds the widest per-engine arena a
-            // reader has to provision for.
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        }
-    }
-    let phases = if threads == 1 {
-        let mut sim = ConcurrentSim::instrumented(circuit, &faults, variant.options());
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    } else {
-        let mut sim = ParallelSim::instrumented(
-            circuit,
-            &faults,
-            variant.options(),
+}
+
+impl Bench<'_> {
+    /// An unmeasured cell: identity and workload filled in, counters zero.
+    fn cell(self, variant: String, threads: usize, faults: usize, faults_full: usize) -> PerfRun {
+        PerfRun {
+            circuit: self.circuit.name().to_owned(),
+            variant,
             threads,
-            ShardPlan::RoundRobin,
-        );
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: variant.name().to_owned(),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Detections in the full universe after expanding a pruned run's statuses.
-fn expanded_detected<F: Copy>(pruned: &PrunedUniverse<F>, statuses: &[FaultStatus]) -> usize {
-    pruned
-        .expand_statuses(statuses)
-        .iter()
-        .filter(|s| matches!(s, FaultStatus::Detected { .. }))
-        .count()
-}
-
-/// The `-pruned` twin of [`run_stuck`]: simulates only the statically
-/// surviving exact-class representatives and reports full-universe
-/// detection counts. The same machinery measures the `-learned` cells —
-/// only the universe (conflict-pruned) and the variant suffix differ.
-fn run_stuck_pruned(
-    circuit: &Circuit,
-    pruned: &PrunedUniverse<StuckAt>,
-    variant: CsimVariant,
-    threads: usize,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-    suffix: &str,
-) -> PerfRun {
-    let faults = &pruned.sim;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut peak_arena_bytes = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        if threads == 1 {
-            let mut sim = ConcurrentSim::new(circuit, faults, variant.options());
-            let start = Instant::now();
-            let report = sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = expanded_detected(pruned, &report.statuses);
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        } else {
-            let mut sim = ParallelSim::new(
-                circuit,
-                faults,
-                variant.options(),
-                threads,
-                ShardPlan::RoundRobin,
-            );
-            let start = Instant::now();
-            let report = sim.run(patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = expanded_detected(pruned, &report.statuses);
-            peak_elements = sim.peak_elements();
-            peak_arena_bytes = peak_elements * cfs_core::Arena::ELEMENT_BYTES;
-            memory_bytes = sim.memory_bytes();
-        }
-    }
-    let phases = if threads == 1 {
-        let mut sim = ConcurrentSim::instrumented(circuit, faults, variant.options());
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    } else {
-        let mut sim = ParallelSim::instrumented(
-            circuit,
+            patterns: self.patterns.len(),
             faults,
-            variant.options(),
+            faults_full,
+            wall_seconds: f64::INFINITY,
+            events: 0,
+            events_per_pattern: 0.0,
+            detected: 0,
+            peak_elements: 0,
+            peak_arena_bytes: 0,
+            memory_bytes: 0,
+            phase_seconds: Vec::new(),
+        }
+    }
+
+    /// Measures one cell on the [`ShardedSim`] users run: one shard for
+    /// `threads == 1`, round-robin fault shards otherwise. The wall time is
+    /// the minimum over the timed uninstrumented repeats, the phase
+    /// breakdown comes from one more, instrumented run. The cell is named
+    /// after the simulator plus `suffix` (`csim-MV-pruned`, …);
+    /// `faults_full` is the universe behind a reduced cell (`0` for plain
+    /// cells), and `detected` maps a run's statuses to the cell's detection
+    /// count — a plain count, or the full-universe count after expanding a
+    /// pruned or incremental universe.
+    fn measure<M: FaultModel>(
+        self,
+        faults: &[M],
+        options: &M::Options,
+        threads: usize,
+        suffix: &str,
+        faults_full: usize,
+        mut detected: impl FnMut(&[FaultStatus]) -> usize,
+    ) -> PerfRun {
+        let variant = format!("{}{suffix}", M::name(options));
+        let mut run = self.cell(variant, threads, faults.len(), faults_full);
+        for _ in 0..self.repeats.max(1) {
+            let mut sim = ShardedSim::sharded(
+                self.circuit,
+                faults,
+                options.clone(),
+                threads,
+                ShardPlan::RoundRobin,
+            );
+            let start = Instant::now();
+            let report = sim.run(self.patterns);
+            run.wall_seconds = run.wall_seconds.min(start.elapsed().as_secs_f64());
+            record(&mut run, &sim, detected(&report.statuses));
+        }
+        let mut sim = ShardedSim::with_probes(
+            self.circuit,
+            faults,
+            options.clone(),
             threads,
             ShardPlan::RoundRobin,
+            None,
+            |_| SimMetrics::new(),
         );
-        sim.run(patterns);
-        phase_seconds(&sim.snapshot())
-    };
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}{suffix}", variant.name()),
-        threads,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: pruned.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Runs the serial transition simulator on the same pattern set.
-fn run_transition(circuit: &Circuit, patterns: &[Vec<Logic>], repeats: usize) -> PerfRun {
-    let faults = enumerate_transition(circuit);
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = TransitionSim::new(circuit, &faults, Default::default());
-        let start = Instant::now();
-        sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = TransitionSim::instrumented(circuit, &faults, Default::default());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: "csim-T".to_owned(),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// The `-pruned` twin of [`run_transition`]; also measures the
-/// `-learned` cell via `suffix`.
-fn run_transition_pruned(
-    circuit: &Circuit,
-    pruned: &PrunedUniverse<TransitionFault>,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-    suffix: &str,
-) -> PerfRun {
-    let faults = &pruned.sim;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = TransitionSim::new(circuit, faults, Default::default());
-        let start = Instant::now();
-        let report = sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = expanded_detected(pruned, &report.statuses);
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = TransitionSim::instrumented(circuit, faults, Default::default());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("csim-T{suffix}"),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: pruned.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// Detections in the full universe after fate transfer through an
-/// [`ImpactUniverse`] expansion.
-fn impact_detected<F: Copy>(
-    universe: &ImpactUniverse<F>,
-    resim: &[FaultStatus],
-    baseline: &[FaultStatus],
-) -> usize {
-    universe
-        .expand_statuses(resim, baseline)
-        .iter()
-        .filter(|s| matches!(s, FaultStatus::Detected { .. }))
-        .count()
-}
-
-/// The `csim-MV-incremental` cell: applies the scripted dead-logic edit,
-/// records baseline fates over the unedited circuit's full uncollapsed
-/// universe (untimed), then times re-simulation of only the change-impact
-/// affected cone on the edited circuit. `detected` is the full-universe
-/// count after fate transfer — the CLI's `--incremental` path.
-fn run_stuck_incremental(circuit: &Circuit, patterns: &[Vec<Logic>], repeats: usize) -> PerfRun {
-    let applied =
-        apply_edit(circuit, BenchEdit::DeadLogic, 0).expect("dead logic applies to every fixture");
-    let edited = &applied.circuit;
-    let diff = diff_netlists(circuit, edited, None, None);
-    let analysis = impact_analysis(circuit, edited, diff);
-    let universe = classify_stuck_at(circuit, edited, &analysis);
-    let variant = CsimVariant::Mv;
-    let baseline = ConcurrentSim::new(circuit, &enumerate_stuck_at(circuit), variant.options())
-        .run(patterns)
-        .statuses;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = ConcurrentSim::new(edited, &universe.affected, variant.options());
-        let start = Instant::now();
-        let report = sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = impact_detected(&universe, &report.statuses, &baseline);
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = ConcurrentSim::instrumented(edited, &universe.affected, variant.options());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}-incremental", variant.name()),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: universe.affected.len(),
-        faults_full: universe.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// The transition-fault mirror of [`run_stuck_incremental`]
-/// (`csim-T-incremental`).
-fn run_transition_incremental(
-    circuit: &Circuit,
-    patterns: &[Vec<Logic>],
-    repeats: usize,
-) -> PerfRun {
-    let applied =
-        apply_edit(circuit, BenchEdit::DeadLogic, 0).expect("dead logic applies to every fixture");
-    let edited = &applied.circuit;
-    let diff = diff_netlists(circuit, edited, None, None);
-    let analysis = impact_analysis(circuit, edited, diff);
-    let universe = classify_transition(circuit, edited, &analysis);
-    let baseline = TransitionSim::new(circuit, &enumerate_transition(circuit), Default::default())
-        .run(patterns)
-        .statuses;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut sim = TransitionSim::new(edited, &universe.affected, Default::default());
-        let start = Instant::now();
-        let report = sim.run(patterns);
-        wall = wall.min(start.elapsed().as_secs_f64());
-        events = sim.events();
-        detected = impact_detected(&universe, &report.statuses, &baseline);
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let mut sim = TransitionSim::instrumented(edited, &universe.affected, Default::default());
-    sim.run(patterns);
-    let phases = phase_seconds(&sim.snapshot());
-    PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: "csim-T-incremental".to_owned(),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: universe.affected.len(),
-        faults_full: universe.stats.full,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    }
-}
-
-/// `variant.options()` with the harness gating window applied.
-fn gated_options(variant: CsimVariant) -> CsimOptions {
-    CsimOptions {
-        quiesce_window: QUIESCE_WINDOW,
-        ..variant.options()
-    }
-}
-
-/// The quiescence trio: three serial `csim-MV` cells on the burst-hold
-/// stimulus ([`hold_patterns`]).
-///
-/// * `csim-MV-hold` — the ungated reference; what the engine costs when
-///   the stimulus goes quiet but every sweep still walks the whole
-///   circuit.
-/// * `csim-MV-quiesce` — the same run under the engine's quiescence gate
-///   (`--quiesce-window 4`); the wall-time gap against `-hold` is the
-///   headline win of the gate, and the harness asserts its detections are
-///   bit-identical to the ungated reference before recording the cell.
-/// * `csim-MV-resume` — the gated run checkpointed at the halfway
-///   boundary, round-tripped through the checkpoint's byte serialization,
-///   and restored into a fresh simulator; the recorded wall time covers
-///   only the resumed second half, while the work counters are the full
-///   run's (the checkpoint restores them), so the drift gate pins
-///   restart determinism pattern for pattern.
-fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize) -> Vec<PerfRun> {
-    let patterns = hold_patterns(circuit, count, seed);
-    let faults = collapse_stuck_at(circuit).representatives;
-    let variant = CsimVariant::Mv;
-    let cell = |suffix: &str,
-                wall: f64,
-                events: u64,
-                detected: usize,
-                peak_elements: usize,
-                memory_bytes: usize,
-                phases: Vec<(&'static str, f64)>| PerfRun {
-        circuit: circuit.name().to_owned(),
-        variant: format!("{}-{suffix}", variant.name()),
-        threads: 1,
-        patterns: patterns.len(),
-        faults: faults.len(),
-        faults_full: 0,
-        wall_seconds: wall,
-        events,
-        events_per_pattern: events as f64 / patterns.len().max(1) as f64,
-        detected,
-        peak_elements,
-        peak_arena_bytes: peak_elements * cfs_core::Arena::ELEMENT_BYTES,
-        memory_bytes,
-        phase_seconds: phases,
-    };
-
-    let mut hold_statuses = Vec::new();
-    let mut runs = Vec::with_capacity(3);
-    for (suffix, options) in [
-        ("hold", variant.options()),
-        ("quiesce", gated_options(variant)),
-    ] {
-        let mut wall = f64::INFINITY;
-        let mut events = 0u64;
-        let mut detected = 0usize;
-        let mut peak_elements = 0usize;
-        let mut memory_bytes = 0usize;
-        for _ in 0..repeats.max(1) {
-            let mut sim = ConcurrentSim::new(circuit, &faults, options.clone());
-            let start = Instant::now();
-            let report = sim.run(&patterns);
-            wall = wall.min(start.elapsed().as_secs_f64());
-            events = sim.events();
-            detected = sim.detected();
-            peak_elements = sim.peak_elements();
-            memory_bytes = sim.memory_bytes();
-            if suffix == "hold" {
-                hold_statuses = report.statuses;
-            } else {
-                assert_eq!(
-                    report.statuses,
-                    hold_statuses,
-                    "{}: the quiescence gate changed detections",
-                    circuit.name()
-                );
-            }
-        }
-        let mut sim = ConcurrentSim::instrumented(circuit, &faults, options);
-        sim.run(&patterns);
-        let phases = phase_seconds(&sim.snapshot());
-        runs.push(cell(
-            suffix,
-            wall,
-            events,
-            detected,
-            peak_elements,
-            memory_bytes,
-            phases,
-        ));
+        sim.run(self.patterns);
+        run.phase_seconds = phase_seconds(&sim.snapshot());
+        run
     }
 
-    let cut = patterns.len() / 2;
-    let mut wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut detected = 0usize;
-    let mut peak_elements = 0usize;
-    let mut memory_bytes = 0usize;
-    for _ in 0..repeats.max(1) {
-        let mut first = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-        for p in &patterns[..cut] {
-            first.step(p);
-        }
-        let bytes = first.checkpoint().to_bytes();
-        drop(first);
-        let snap = Checkpoint::from_bytes(&bytes).expect("checkpoint round trip");
-        let mut sim = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-        sim.restore(&snap).expect("checkpoint restore");
-        let start = Instant::now();
-        for p in &patterns[cut..] {
-            sim.step(p);
-        }
-        wall = wall.min(start.elapsed().as_secs_f64());
-        assert_eq!(
-            sim.statuses(),
-            hold_statuses,
-            "{}: resume diverged from the cold run",
-            circuit.name()
-        );
-        events = sim.events();
-        detected = sim.detected();
-        peak_elements = sim.peak_elements();
-        memory_bytes = sim.memory_bytes();
-    }
-    let phases = {
-        let first = {
-            let mut sim = ConcurrentSim::new(circuit, &faults, gated_options(variant));
-            for p in &patterns[..cut] {
-                sim.step(p);
-            }
-            sim.checkpoint().to_bytes()
+    /// The `-resume` cell: the serial run checkpointed at the halfway
+    /// boundary, round-tripped through the checkpoint's byte
+    /// serialization, and restored into a fresh simulator. The wall time
+    /// covers only the resumed second half; the counters are the full
+    /// run's (the checkpoint restores them), and the statuses must equal
+    /// `cold`, the uninterrupted run's.
+    fn measure_resume<M: FaultModel>(
+        self,
+        faults: &[M],
+        options: &M::Options,
+        suffix: &str,
+        cold: &[FaultStatus],
+    ) -> PerfRun {
+        let (head, tail) = self.patterns.split_at(self.patterns.len() / 2);
+        let halfway = || {
+            let mut first = ShardedSim::new(self.circuit, faults, options.clone());
+            first.run(head);
+            Checkpoint::from_bytes(&first.checkpoint().to_bytes()).expect("checkpoint round trip")
         };
-        let snap = Checkpoint::from_bytes(&first).expect("checkpoint round trip");
-        let mut sim = ConcurrentSim::instrumented(circuit, &faults, gated_options(variant));
-        sim.restore(&snap).expect("checkpoint restore");
-        for p in &patterns[cut..] {
-            sim.step(p);
+        let variant = format!("{}{suffix}", M::name(options));
+        let mut run = self.cell(variant, 1, faults.len(), 0);
+        for _ in 0..self.repeats.max(1) {
+            let snapshot = halfway();
+            let mut sim = ShardedSim::new(self.circuit, faults, options.clone());
+            sim.restore(&snapshot).expect("checkpoint restore");
+            let start = Instant::now();
+            let report = sim.run(tail);
+            run.wall_seconds = run.wall_seconds.min(start.elapsed().as_secs_f64());
+            assert_eq!(
+                report.statuses,
+                cold,
+                "{}: resume diverged from the cold run",
+                self.circuit.name()
+            );
+            record(&mut run, &sim, sim.detected());
         }
-        phase_seconds(&sim.snapshot())
-    };
-    runs.push(cell(
-        "resume",
-        wall,
-        events,
-        detected,
-        peak_elements,
-        memory_bytes,
-        phases,
-    ));
-    runs
+        let mut sim = ShardedSim::instrumented(self.circuit, faults, options.clone());
+        sim.restore(&halfway()).expect("checkpoint restore");
+        sim.run(tail);
+        run.phase_seconds = phase_seconds(&sim.snapshot());
+        run
+    }
 }
 
 /// Runs the whole harness: every circuit × the four stuck-at variants ×
@@ -759,74 +369,120 @@ fn run_quiesce_cells(circuit: &Circuit, count: usize, seed: u64, repeats: usize)
 /// `csim-T` row, its `-pruned` twin, the serial `csim-MV-learned` /
 /// `csim-T-learned` cells, the two `-incremental` cells, and the
 /// quiescence trio (`csim-MV-hold` / `-quiesce` / `-resume`) per
-/// circuit.
+/// circuit (see the module docs for what each cell measures).
 pub fn run_perf(config: &PerfConfig) -> Vec<PerfRun> {
     let mut runs = Vec::new();
     for name in &config.circuits {
-        let circuit = perf_circuit(name);
-        let patterns = random_patterns(&circuit, config.patterns, config.seed);
-        let analysis = analyze_circuit(&circuit);
-        let stuck = prune_stuck_at(&circuit, &analysis);
-        let transition = prune_transition(&circuit, &analysis);
-        let graph = ImplicationGraph::build(&circuit, &analysis, LearnOptions::default());
-        let learned_stuck = prune_stuck_at_learned(&circuit, &analysis, &graph).universe;
-        let learned_transition = prune_transition_learned(&circuit, &analysis, &graph);
+        let c = &perf_circuit(name);
+        let patterns = random_patterns(c, config.patterns, config.seed);
+        let bench = Bench {
+            circuit: c,
+            patterns: &patterns,
+            repeats: config.repeats,
+        };
+        let analysis = analyze_circuit(c);
+        let pruned_stuck = prune_stuck_at(c, &analysis);
+        let pruned_transition = prune_transition(c, &analysis);
+        let graph = ImplicationGraph::build(c, &analysis, LearnOptions::default());
+        let learned_stuck = prune_stuck_at_learned(c, &analysis, &graph).universe;
+        let learned_transition = prune_transition_learned(c, &analysis, &graph);
+        let collapsed = collapse_stuck_at(c).representatives;
+        let mv = CsimVariant::Mv.options();
+        let transition = TransitionOptions::default();
+
         for variant in CsimVariant::ALL {
+            let options = variant.options();
             for &threads in &config.threads {
-                runs.push(run_stuck(
-                    &circuit,
-                    variant,
+                runs.push(bench.measure(&collapsed, &options, threads, "", 0, count_detected));
+                runs.push(bench.measure(
+                    &pruned_stuck.sim,
+                    &options,
                     threads,
-                    &patterns,
-                    config.repeats,
-                ));
-                runs.push(run_stuck_pruned(
-                    &circuit,
-                    &stuck,
-                    variant,
-                    threads,
-                    &patterns,
-                    config.repeats,
                     "-pruned",
+                    pruned_stuck.stats.full,
+                    |s| count_detected(&pruned_stuck.expand_statuses(s)),
                 ));
             }
         }
-        runs.push(run_stuck_pruned(
-            &circuit,
-            &learned_stuck,
-            CsimVariant::Mv,
+        runs.push(bench.measure(
+            &learned_stuck.sim,
+            &mv,
             1,
-            &patterns,
-            config.repeats,
             "-learned",
+            learned_stuck.stats.full,
+            |s| count_detected(&learned_stuck.expand_statuses(s)),
         ));
-        runs.push(run_transition(&circuit, &patterns, config.repeats));
-        runs.push(run_transition_pruned(
-            &circuit,
+        let transition_faults = enumerate_transition(c);
+        runs.push(bench.measure(&transition_faults, &transition, 1, "", 0, count_detected));
+        for (universe, suffix) in [
+            (&pruned_transition, "-pruned"),
+            (&learned_transition, "-learned"),
+        ] {
+            runs.push(bench.measure(
+                &universe.sim,
+                &transition,
+                1,
+                suffix,
+                universe.stats.full,
+                |s| count_detected(&universe.expand_statuses(s)),
+            ));
+        }
+
+        let applied =
+            apply_edit(c, BenchEdit::DeadLogic, 0).expect("dead logic applies to every fixture");
+        let edited = Bench {
+            circuit: &applied.circuit,
+            ..bench
+        };
+        let impact = impact_analysis(
+            c,
+            edited.circuit,
+            diff_netlists(c, edited.circuit, None, None),
+        );
+        let stuck_impact = classify_stuck_at(c, edited.circuit, &impact);
+        let baseline = ConcurrentSim::new(c, &enumerate_stuck_at(c), mv.clone())
+            .run(&patterns)
+            .statuses;
+        runs.push(edited.measure(
+            &stuck_impact.affected,
+            &mv,
+            1,
+            "-incremental",
+            stuck_impact.stats.full,
+            |s| count_detected(&stuck_impact.expand_statuses(s, &baseline)),
+        ));
+        let transition_impact = classify_transition(c, edited.circuit, &impact);
+        let baseline = TransitionSim::new(c, &transition_faults, transition.clone())
+            .run(&patterns)
+            .statuses;
+        runs.push(edited.measure(
+            &transition_impact.affected,
             &transition,
-            &patterns,
-            config.repeats,
-            "-pruned",
+            1,
+            "-incremental",
+            transition_impact.stats.full,
+            |s| count_detected(&transition_impact.expand_statuses(s, &baseline)),
         ));
-        runs.push(run_transition_pruned(
-            &circuit,
-            &learned_transition,
-            &patterns,
-            config.repeats,
-            "-learned",
-        ));
-        runs.push(run_stuck_incremental(&circuit, &patterns, config.repeats));
-        runs.push(run_transition_incremental(
-            &circuit,
-            &patterns,
-            config.repeats,
-        ));
-        runs.extend(run_quiesce_cells(
-            &circuit,
-            config.patterns,
-            config.seed,
-            config.repeats,
-        ));
+
+        let held = hold_patterns(c, config.patterns, config.seed);
+        let hold = Bench {
+            patterns: &held,
+            ..bench
+        };
+        let gated = CsimOptions {
+            quiesce_window: QUIESCE_WINDOW,
+            ..mv.clone()
+        };
+        let mut cold = Vec::new();
+        runs.push(hold.measure(&collapsed, &mv, 1, "-hold", 0, |s| {
+            cold = s.to_vec();
+            count_detected(s)
+        }));
+        runs.push(hold.measure(&collapsed, &gated, 1, "-quiesce", 0, |s| {
+            assert_eq!(s, cold, "{name}: the quiescence gate changed detections");
+            count_detected(s)
+        }));
+        runs.push(hold.measure_resume(&collapsed, &gated, "-resume", &cold));
     }
     runs
 }
@@ -1003,10 +659,11 @@ pub fn parse_bench_json(input: &str) -> Result<Vec<PerfRun>, String> {
 }
 
 /// Compares a fresh harness result against a checked-in baseline file's
-/// runs: the deterministic work counters (`events_per_pattern`, `events`)
-/// and detection counts must match exactly for every configuration present
-/// in both; timing differences are advisory. Returns human-readable drift
-/// descriptions (empty = pass).
+/// runs: the deterministic work counters (`events`, and with them
+/// `events_per_pattern`), detection counts, the memory counters
+/// (`peak_elements`, `memory_bytes`) and the workload sizes must match
+/// exactly for every configuration present in both; timing differences are
+/// advisory. Returns human-readable drift descriptions (empty = pass).
 pub fn check_against(runs: &[PerfRun], baseline: &[PerfRun]) -> Vec<String> {
     let mut drifts = Vec::new();
     for base in baseline {
@@ -1025,6 +682,12 @@ pub fn check_against(runs: &[PerfRun], baseline: &[PerfRun]) -> Vec<String> {
             drifts.push(format!(
                 "{key}: detections drifted {} -> {}",
                 base.detected, run.detected
+            ));
+        }
+        if run.peak_elements != base.peak_elements || run.memory_bytes != base.memory_bytes {
+            drifts.push(format!(
+                "{key}: memory drifted (peak elements {} -> {}, bytes {} -> {})",
+                base.peak_elements, run.peak_elements, base.memory_bytes, run.memory_bytes
             ));
         }
         if run.patterns != base.patterns
@@ -1247,20 +910,28 @@ mod tests {
             );
         }
         // A shard holds a subset of the fault universe, so its widest
-        // arena never exceeds the serial engine's.
-        for t2 in runs.iter().filter(|r| r.threads == 2) {
-            if let Some(serial) = runs
+        // arena never exceeds the serial engine's; and the thread count
+        // never changes what a cell simulates or detects.
+        let t2_cells: Vec<_> = runs.iter().filter(|r| r.threads == 2).collect();
+        assert_eq!(t2_cells.len(), 8, "four variants, plain and pruned");
+        for t2 in t2_cells {
+            let serial = runs
                 .iter()
                 .find(|r| r.variant == t2.variant && r.threads == 1)
-            {
-                assert!(
-                    t2.peak_elements <= serial.peak_elements,
-                    "{}: shard peak {} above serial {}",
-                    t2.key(),
-                    t2.peak_elements,
-                    serial.peak_elements
-                );
-            }
+                .unwrap_or_else(|| panic!("{}: no t1 twin", t2.key()));
+            assert!(
+                t2.peak_elements <= serial.peak_elements,
+                "{}: shard peak {} above serial {}",
+                t2.key(),
+                t2.peak_elements,
+                serial.peak_elements
+            );
+            assert_eq!(
+                (t2.detected, t2.faults, t2.faults_full),
+                (serial.detected, serial.faults, serial.faults_full),
+                "{}: (detected, faults, faults_full) differ from the t1 twin",
+                t2.key()
+            );
         }
     }
 
@@ -1284,8 +955,12 @@ mod tests {
         let mut tampered = runs.clone();
         tampered[0].events += 1;
         tampered[1].detected += 1;
+        tampered[2].peak_elements += 1;
+        tampered[3].memory_bytes += 1;
         let drifts = check_against(&tampered, &runs);
-        assert_eq!(drifts.len(), 2, "{drifts:?}");
+        assert_eq!(drifts.len(), 4, "{drifts:?}");
+        assert!(drifts[2].contains("peak elements"), "{drifts:?}");
+        assert!(drifts[3].contains("bytes"), "{drifts:?}");
     }
 
     #[test]

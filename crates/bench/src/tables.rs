@@ -11,8 +11,7 @@ use std::fmt::Write as _;
 
 use cfs_baselines::ProofsSim;
 use cfs_core::{
-    ConcurrentSim, CsimVariant, MetricsSnapshot, ParallelSim, ShardPlan, TransitionOptions,
-    TransitionSim,
+    ConcurrentSim, CsimVariant, MetricsSnapshot, ShardPlan, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{enumerate_transition, FaultSimReport};
 
@@ -416,7 +415,7 @@ pub fn table_parallel(name: &str, config: &WorkloadConfig) -> Vec<TableParallelR
     let mut rows: Vec<TableParallelRow> = Vec::new();
     let mut serial_statuses = None;
     for threads in PARALLEL_THREADS {
-        let mut sim = ParallelSim::new(
+        let mut sim = ConcurrentSim::sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),

@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use cfs_core::{stuck_levels, ShardPlan};
-use cfs_faults::{collapse_stuck_at, CollapsedFaults};
+use cfs_core::{FaultModel, ShardPlan};
+use cfs_faults::{collapse_stuck_at, CollapsedFaults, StuckAt};
 use cfs_netlist::{
     extract_macros, BenchProvenance, Circuit, GateId, GateKind, MacroCircuit,
     DEFAULT_MACRO_MAX_INPUTS,
@@ -323,7 +323,7 @@ pub fn check_models(circuit: &Circuit, prov: Option<&BenchProvenance>, report: &
     check_collapse(circuit, &col, prov, report);
     let macros = extract_macros(circuit, DEFAULT_MACRO_MAX_INPUTS);
     check_macros(circuit, &macros, DEFAULT_MACRO_MAX_INPUTS, prov, report);
-    let levels = stuck_levels(circuit, &col.representatives);
+    let levels = <StuckAt as FaultModel>::site_levels(circuit, &col.representatives);
     for plan in ShardPlan::ALL {
         for shards in SHARD_COUNTS {
             let parts = plan.partition(&levels, shards);
@@ -336,7 +336,7 @@ pub fn check_models(circuit: &Circuit, prov: Option<&BenchProvenance>, report: &
 mod tests {
     use super::*;
 
-    /// `ParallelSim::with_probes_sharded` accepts more shards than
+    /// `ShardedSim::with_probes_sharded` accepts more shards than
     /// workers (worker `w` owns shards `w, w + threads, …`). Those
     /// oversharded partitions must pass P001 for every plan: an exact
     /// cover, balanced to within one fault.
@@ -344,7 +344,7 @@ mod tests {
     fn p001_accepts_oversharded_partitions() {
         let c = cfs_netlist::generate::benchmark("s298g").expect("bundled benchmark");
         let col = collapse_stuck_at(&c);
-        let levels = stuck_levels(&c, &col.representatives);
+        let levels = <StuckAt as FaultModel>::site_levels(&c, &col.representatives);
         for threads in [1usize, 2, 4] {
             let shards = threads * 2;
             for plan in ShardPlan::ALL {

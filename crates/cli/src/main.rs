@@ -2277,7 +2277,7 @@ fn run_variant<M: CliModel, P: RunProbe>(
         par.paranoid,
         &report.statuses,
         |full| {
-            ShardedSim::new(c, full, M::ungated(options), 1, ShardPlan::RoundRobin)
+            ShardedSim::new(c, full, M::ungated(options))
                 .run(patterns)
                 .statuses
         },
@@ -2621,9 +2621,7 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         CsimVariant::V.options(),
         TraceRecorder::new(Instant::now(), cfg),
     );
-    for p in &patterns {
-        sim.step(p);
-    }
+    sim.run(&patterns);
     let rec = sim.probe();
     if rec.dropped_events() > 0 {
         eprintln!(
@@ -2753,9 +2751,7 @@ fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         CsimVariant::V.options(),
         TraceRecorder::new(Instant::now(), cfg),
     );
-    for p in &patterns {
-        sim.step(p);
-    }
+    sim.run(&patterns);
     let mut heat = Heatmap::new();
     heat.add_recorder(sim.probe());
     let ranked = heat.ranked();

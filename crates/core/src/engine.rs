@@ -920,6 +920,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// One stuck-at clock cycle: apply, settle, detect, latch.
+    #[cfg(test)]
     pub(crate) fn step_stuck(&mut self, pattern: &[Logic]) -> Vec<Detection> {
         self.step_stuck_with(pattern, None)
     }

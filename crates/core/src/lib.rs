@@ -14,11 +14,13 @@
 //! * optional macro extraction with functional (faulty-LUT) faults (`-M`),
 //! * the §3 transition fault model with two-pass simulation per cycle.
 //!
-//! [`ConcurrentSim`] is the stuck-at simulator ([`CsimVariant`] names the
-//! four configurations of Table 3); [`TransitionSim`] is the transition
-//! fault simulator of Table 6. [`ShardedSim`] runs either [`FaultModel`]
-//! fault-sharded across worker threads; with one shard it is the serial
-//! simulator.
+//! [`ShardedSim`] is the one concurrent simulator type, generic over the
+//! [`FaultModel`]: [`ConcurrentSim`] names its stuck-at form
+//! ([`CsimVariant`] names the four configurations of Table 3) and
+//! [`TransitionSim`] the transition fault simulator of Table 6. With one
+//! shard it is the serial simulator; with more it runs fault-sharded
+//! across worker threads. [`DelayCsim`] is the separate unit-delay
+//! concurrent simulator.
 //!
 //! # Examples
 //!
@@ -53,10 +55,8 @@ mod transition;
 pub use checkpoint::{Checkpoint, CheckpointError, Model as CheckpointModel};
 pub use delay_mode::DelayCsim;
 pub use list::{Arena, FaultElement, ListBuilder, ListIter, NIL, TERMINAL_FAULT};
-pub use model::{stuck_levels, transition_levels, FaultModel};
-pub use parallel::{
-    detections_of, GlobalDetection, ParallelSim, ParallelTransitionSim, ShardPlan, ShardedSim,
-};
+pub use model::FaultModel;
+pub use parallel::{detections_of, GlobalDetection, ParallelSim, ShardPlan, ShardedSim};
 pub use stuck::{ConcurrentSim, CsimOptions, CsimVariant, StepResult};
 pub use transition::{TransitionOptions, TransitionSim};
 

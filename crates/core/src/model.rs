@@ -35,7 +35,8 @@ pub trait FaultModel: Copy + Send + Sync + sealed::Sealed {
     /// `csim-T`, …).
     fn name(options: &Self::Options) -> &'static str;
 
-    /// Site logic level per fault: the default shard-plan balance key.
+    /// Site logic level per fault: the default balance key of
+    /// [`ShardPlan::partition`](crate::ShardPlan::partition).
     fn site_levels(circuit: &Circuit, faults: &[Self]) -> Vec<u32>;
 }
 
@@ -65,20 +66,6 @@ pub(crate) mod sealed {
     }
 }
 
-/// Site logic levels of a stuck-at fault list (input to
-/// [`ShardPlan::partition`](crate::ShardPlan::partition)).
-pub fn stuck_levels(circuit: &Circuit, faults: &[StuckAt]) -> Vec<u32> {
-    faults
-        .iter()
-        .map(|f| circuit.level(f.site.gate()))
-        .collect()
-}
-
-/// Site logic levels of a transition fault list.
-pub fn transition_levels(circuit: &Circuit, faults: &[TransitionFault]) -> Vec<u32> {
-    faults.iter().map(|f| circuit.level(f.gate)).collect()
-}
-
 impl FaultModel for StuckAt {
     type Options = CsimOptions;
 
@@ -94,7 +81,10 @@ impl FaultModel for StuckAt {
     }
 
     fn site_levels(circuit: &Circuit, faults: &[Self]) -> Vec<u32> {
-        stuck_levels(circuit, faults)
+        faults
+            .iter()
+            .map(|f| circuit.level(f.site.gate()))
+            .collect()
     }
 }
 
@@ -136,7 +126,7 @@ impl FaultModel for TransitionFault {
     }
 
     fn site_levels(circuit: &Circuit, faults: &[Self]) -> Vec<u32> {
-        transition_levels(circuit, faults)
+        faults.iter().map(|f| circuit.level(f.gate)).collect()
     }
 }
 

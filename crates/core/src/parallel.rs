@@ -1,12 +1,12 @@
-//! Fault-sharded parallel simulation.
+//! The concurrent fault simulator, serial or fault-sharded.
 //!
 //! The concurrent algorithm's fault universe is embarrassingly
 //! partitionable: every faulty machine lives on its own list elements and
 //! never interacts with another fault, so splitting the fault list across
 //! `P` independent engines changes nothing about per-fault semantics.
-//! [`ShardedSim`] exploits exactly that, for either [`FaultModel`]
-//! ([`ParallelSim`] for stuck-at, [`ParallelTransitionSim`] for the §3
-//! transition model):
+//! [`ShardedSim`] is the one simulator type, for either [`FaultModel`]
+//! ([`ConcurrentSim`](crate::ConcurrentSim) for stuck-at,
+//! [`TransitionSim`](crate::TransitionSim) for the §3 transition model):
 //!
 //! * the fault list is partitioned by a pluggable [`ShardPlan`] into `P`
 //!   exact-cover shards, one engine per shard,
@@ -37,7 +37,7 @@ use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfs_faults::{FaultSimReport, FaultStatus, StuckAt, TransitionFault};
+use cfs_faults::{FaultSimReport, FaultStatus, StuckAt};
 use cfs_logic::Logic;
 use cfs_netlist::Circuit;
 use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
@@ -45,6 +45,7 @@ use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::engine::Engine;
 use crate::model::FaultModel;
+use crate::stuck::StepResult;
 
 /// Patterns per good-trace block (also the progress-callback
 /// granularity): bounds live trace memory while keeping channel traffic
@@ -291,30 +292,32 @@ struct Shard<P: Probe> {
     global: Vec<usize>,
 }
 
-/// Fault-sharded concurrent simulator, generic over the [`FaultModel`]:
-/// `P` engines over disjoint fault shards, one shared good machine.
+/// The concurrent fault simulator, generic over the [`FaultModel`]: `P`
+/// engines over disjoint fault shards, one shared good machine.
 ///
-/// One shard is the serial simulator: it holds no good engine, starts no
-/// worker thread, and steps exactly as [`ConcurrentSim`] or
-/// [`TransitionSim`] does.
-///
-/// [`ConcurrentSim`]: crate::ConcurrentSim
-/// [`TransitionSim`]: crate::TransitionSim
+/// One shard is the serial simulator of the paper: it holds no good
+/// engine, starts no worker thread, and its engine steps its own good
+/// machine. [`ShardedSim::new`], [`ShardedSim::instrumented`] and
+/// [`ShardedSim::with_probe`] build that one-shard simulator;
+/// [`ShardedSim::sharded`] and the `with_probes*` constructors spread the
+/// faults over worker threads. The serial-only accessors
+/// ([`step`](Self::step), [`probe`](Self::probe),
+/// [`metrics`](Self::metrics), [`checkpoint`](Self::checkpoint), …) panic
+/// on more than one shard.
 ///
 /// # Examples
 ///
 /// ```
-/// use cfs_core::{CsimVariant, ParallelSim, ShardPlan};
+/// use cfs_core::{ConcurrentSim, CsimVariant, ShardPlan};
 /// use cfs_faults::collapse_stuck_at;
 /// use cfs_logic::parse_pattern;
 /// use cfs_netlist::data::s27;
 ///
 /// let circuit = s27();
 /// let faults = collapse_stuck_at(&circuit).representatives;
-/// let mut par = ParallelSim::new(
+/// let mut par = ConcurrentSim::sharded(
 ///     &circuit, &faults, CsimVariant::Mv.options(), 4, ShardPlan::RoundRobin);
-/// let mut serial = ParallelSim::new(
-///     &circuit, &faults, CsimVariant::Mv.options(), 1, ShardPlan::RoundRobin);
+/// let mut serial = ConcurrentSim::new(&circuit, &faults, CsimVariant::Mv.options());
 /// let patterns: Vec<_> = ["0000", "1111", "0101", "1010"]
 ///     .iter()
 ///     .map(|p| parse_pattern(p))
@@ -338,13 +341,9 @@ pub struct ShardedSim<M: FaultModel, P: Probe = NullProbe> {
     threads: usize,
 }
 
-/// The fault-sharded stuck-at simulator.
+/// Another name for [`ConcurrentSim`](crate::ConcurrentSim), kept for
+/// existing callers.
 pub type ParallelSim<P = NullProbe> = ShardedSim<StuckAt, P>;
-
-/// The fault-sharded transition simulator (§3 model). The per-fault
-/// previous-pin state and the latch stash live inside each shard's own
-/// engine, so sharding changes nothing about the two-pass semantics.
-pub type ParallelTransitionSim<P = NullProbe> = ShardedSim<TransitionFault, P>;
 
 impl<M: FaultModel, P: Probe> fmt::Debug for ShardedSim<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -361,14 +360,20 @@ impl<M: FaultModel, P: Probe> fmt::Debug for ShardedSim<M, P> {
 }
 
 impl<M: FaultModel> ShardedSim<M> {
+    /// The serial simulator: compiles the circuit (and, for stuck-at
+    /// `-M`, its macro cells) with the whole fault universe on one
+    /// engine. It carries no probe and pays no instrumentation cost.
+    pub fn new(circuit: &Circuit, faults: &[M], options: M::Options) -> Self {
+        Self::with_probe(circuit, faults, options, NullProbe)
+    }
+
     /// Shards `faults` across `threads` engines per `plan` (see
-    /// [`ShardedSim::with_probes`]). Each shard carries no probe and pays
-    /// no instrumentation cost.
+    /// [`ShardedSim::with_probes`]). Each shard carries no probe.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn new(
+    pub fn sharded(
         circuit: &Circuit,
         faults: &[M],
         options: M::Options,
@@ -380,18 +385,21 @@ impl<M: FaultModel> ShardedSim<M> {
 }
 
 impl<M: FaultModel> ShardedSim<M, SimMetrics> {
-    /// Like [`ShardedSim::new`], but every shard records a [`SimMetrics`]
-    /// probe; [`ShardedSim::snapshot`] merges them.
-    pub fn instrumented(
-        circuit: &Circuit,
-        faults: &[M],
-        options: M::Options,
-        threads: usize,
-        plan: ShardPlan,
-    ) -> Self {
-        Self::with_probes(circuit, faults, options, threads, plan, None, |_| {
-            SimMetrics::new()
-        })
+    /// Like [`ShardedSim::new`], but with a recording [`SimMetrics`]
+    /// probe attached: per-pattern counters, histograms, and phase times
+    /// accumulate as the simulation runs.
+    pub fn instrumented(circuit: &Circuit, faults: &[M], options: M::Options) -> Self {
+        Self::with_probe(circuit, faults, options, SimMetrics::new())
+    }
+
+    /// The accumulated telemetry of a one-shard simulator (a sharded one
+    /// merges its shards through [`ShardedSim::snapshot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has more than one shard.
+    pub fn metrics(&self) -> &SimMetrics {
+        self.probe()
     }
 }
 
@@ -410,7 +418,7 @@ impl<M: FaultModel, P: Probe + AsRef<SimMetrics>> ShardedSim<M, P> {
             }
         }
         let mut snap = merged.unwrap_or_default();
-        snap.simulator = self.name_str();
+        snap.simulator = self.name();
         snap.circuit = self.circuit_name.clone();
         if let Some(good) = &self.good {
             snap.events += good.events;
@@ -426,6 +434,20 @@ impl<M: FaultModel, P: Probe + AsRef<SimMetrics>> ShardedSim<M, P> {
 }
 
 impl<M: FaultModel, P: Probe> ShardedSim<M, P> {
+    /// Like [`ShardedSim::new`], with an arbitrary probe attached (e.g.
+    /// a trace recorder).
+    pub fn with_probe(circuit: &Circuit, faults: &[M], options: M::Options, probe: P) -> Self {
+        let mut probe = Some(probe);
+        Self::with_partition(
+            circuit,
+            faults,
+            options,
+            1,
+            vec![(0..faults.len()).collect()],
+            |_| probe.take().expect("one shard takes one probe"),
+        )
+    }
+
     /// The fully general constructor: one shard per thread, but never
     /// more shards than faults (so no engine or worker is spent on an
     /// empty shard), partitioned per `plan` on `keys` when given and on
@@ -566,7 +588,9 @@ impl<M: FaultModel, P: Probe> ShardedSim<M, P> {
         self.plan
     }
 
-    fn name_str(&self) -> String {
+    /// The display name: the model's (`csim-MV`, `csim-T`, …), suffixed
+    /// `-pN` when `N > 1` worker threads drive it.
+    fn name(&self) -> String {
         let base = M::name(&self.options);
         if self.threads == 1 {
             base.to_owned()
@@ -615,7 +639,7 @@ impl<M: FaultModel, P: Probe> ShardedSim<M, P> {
     /// Panics if the simulator has more than one shard: a checkpoint
     /// holds one engine.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(&self.only_shard().engine, M::CHECKPOINT)
+        Checkpoint::capture(self.serial_engine(), M::CHECKPOINT)
     }
 
     /// Restores a checkpoint into a one-shard simulator configured like
@@ -631,13 +655,50 @@ impl<M: FaultModel, P: Probe> ShardedSim<M, P> {
     ///
     /// Panics if the simulator has more than one shard.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        self.only_shard();
-        ck.restore_into(&mut self.shards[0].engine, M::CHECKPOINT)
+        ck.restore_into(self.serial_engine_mut(), M::CHECKPOINT)
     }
 
-    fn only_shard(&self) -> &Shard<P> {
-        assert_eq!(self.shards.len(), 1, "a checkpoint holds one shard");
-        &self.shards[0]
+    /// The engine of a one-shard simulator.
+    fn serial_engine(&self) -> &Engine<P> {
+        assert_eq!(self.shards.len(), 1, "needs a one-shard simulator");
+        &self.shards[0].engine
+    }
+
+    fn serial_engine_mut(&mut self) -> &mut Engine<P> {
+        assert_eq!(self.shards.len(), 1, "needs a one-shard simulator");
+        &mut self.shards[0].engine
+    }
+
+    /// Simulates one clock cycle on a one-shard simulator (both passes
+    /// for the transition model).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has more than one shard, or if
+    /// `inputs.len()` differs from the primary-input count.
+    pub fn step(&mut self, inputs: &[Logic]) -> StepResult {
+        let engine = self.serial_engine_mut();
+        let detections = M::step(engine, inputs, None);
+        StepResult {
+            outputs: engine
+                .net
+                .po_taps
+                .iter()
+                .map(|&p| engine.good[p as usize])
+                .collect(),
+            new_detections: detections.into_iter().map(|(f, _)| f as usize).collect(),
+        }
+    }
+
+    /// The attached probe of a one-shard simulator (e.g. to drain a trace
+    /// recorder after a run); see [`ShardedSim::shard_probes`] for every
+    /// shard's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has more than one shard.
+    pub fn probe(&self) -> &P {
+        &self.serial_engine().probe
     }
 
     /// Per-fault statuses in the global fault order given to the
@@ -696,6 +757,34 @@ impl<M: FaultModel, P: Probe> ShardedSim<M, P> {
             .max()
             .unwrap_or(0)
     }
+
+    /// Live fault elements right now, summed over shards.
+    pub fn live_elements(&self) -> usize {
+        self.shards.iter().map(|s| s.engine.arena.live()).sum()
+    }
+
+    /// Work units skipped by quiescence gating so far, summed over shards.
+    pub fn quiesce_skips(&self) -> u64 {
+        self.shards.iter().map(|s| s.engine.quiesce_skips).sum()
+    }
+
+    /// Dormant-node wakes observed so far, summed over shards.
+    pub fn quiesce_wakes(&self) -> u64 {
+        self.shards.iter().map(|s| s.engine.quiesce_wakes).sum()
+    }
+
+    /// Validates every shard's fault-list invariants (sorted unique
+    /// lists, element accounting, permanent local elements).
+    ///
+    /// # Panics
+    ///
+    /// Panics with a description of the first violation. Intended for
+    /// tests and debugging; cost is linear in live elements.
+    pub fn assert_invariants(&self) {
+        for shard in &self.shards {
+            shard.engine.assert_invariants();
+        }
+    }
 }
 
 impl<M: FaultModel, P: Probe + Send> ShardedSim<M, P> {
@@ -744,7 +833,7 @@ impl<M: FaultModel, P: Probe + Send> ShardedSim<M, P> {
             }
         }
         FaultSimReport {
-            simulator: self.name_str(),
+            simulator: self.name(),
             circuit: self.circuit_name.clone(),
             patterns: patterns.len(),
             statuses: self.statuses(),
@@ -830,7 +919,7 @@ mod tests {
         // Arbitrary keys: results must not depend on the partition.
         let keys: Vec<u32> = (0..faults.len() as u32).map(|i| (i * 37) % 13).collect();
         for plan in [ShardPlan::WeightAware, ShardPlan::LevelAware] {
-            let mut par = ParallelSim::with_probes(
+            let mut par = ConcurrentSim::with_probes(
                 &c,
                 &faults,
                 CsimVariant::Mv.options(),
@@ -845,7 +934,7 @@ mod tests {
         let mut tserial = TransitionSim::new(&c, &tfaults, TransitionOptions::default());
         let treference = tserial.run(&patterns());
         let tkeys: Vec<u32> = (0..tfaults.len() as u32).map(|i| (i * 31) % 7).collect();
-        let mut tpar = ParallelTransitionSim::with_probes(
+        let mut tpar = TransitionSim::with_probes(
             &c,
             &tfaults,
             TransitionOptions::default(),
@@ -866,7 +955,7 @@ mod tests {
         for threads in [1, 2, 3, 5] {
             for plan in ShardPlan::ALL {
                 let mut par =
-                    ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), threads, plan);
+                    ConcurrentSim::sharded(&c, &faults, CsimVariant::Mv.options(), threads, plan);
                 let report = par.run(&patterns());
                 assert_eq!(
                     report.statuses, reference.statuses,
@@ -883,7 +972,7 @@ mod tests {
         let mut serial = TransitionSim::new(&c, &faults, TransitionOptions::default());
         let reference = serial.run(&patterns());
         for threads in [1, 2, 4] {
-            let mut par = ParallelTransitionSim::new(
+            let mut par = TransitionSim::sharded(
                 &c,
                 &faults,
                 TransitionOptions::default(),
@@ -915,12 +1004,14 @@ mod tests {
     fn merged_snapshot_counts_all_shards() {
         let c = s27();
         let faults = enumerate_stuck_at(&c);
-        let mut par = ParallelSim::instrumented(
+        let mut par = ConcurrentSim::with_probes(
             &c,
             &faults,
             CsimVariant::Mv.options(),
             3,
             ShardPlan::LevelAware,
+            None,
+            |_| SimMetrics::new(),
         );
         let report = par.run(&patterns());
         let snap = par.snapshot();
@@ -935,18 +1026,12 @@ mod tests {
     fn one_shard_holds_no_good_engine() {
         let c = s27();
         let faults = enumerate_stuck_at(&c);
-        let serial = ParallelSim::new(
-            &c,
-            &faults,
-            CsimVariant::Mv.options(),
-            1,
-            ShardPlan::RoundRobin,
-        );
+        let serial = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
         assert!(
             serial.good.is_none(),
             "one shard steps its own good machine"
         );
-        let oversubscribed = ParallelSim::with_probes_sharded(
+        let oversubscribed = ConcurrentSim::with_probes_sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),
@@ -957,7 +1042,7 @@ mod tests {
             |_| NullProbe,
         );
         assert!(oversubscribed.good.is_none());
-        let sharded = ParallelSim::new(
+        let sharded = ConcurrentSim::sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),
@@ -972,7 +1057,7 @@ mod tests {
         let c = s27();
         let faults = collapse_stuck_at(&c).representatives;
         let reference = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options()).run(&patterns());
-        let mut par = ParallelSim::new(
+        let mut par = ConcurrentSim::sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),
@@ -985,7 +1070,7 @@ mod tests {
         assert_eq!(report.simulator, "csim-MV-p64");
         assert_eq!(report.statuses, reference.statuses);
         assert_eq!(par.detections(), detections_of(&reference.statuses));
-        let none = ParallelTransitionSim::new(
+        let none = TransitionSim::sharded(
             &c,
             &[],
             TransitionOptions::default(),
@@ -1006,26 +1091,33 @@ mod tests {
         let pats = patterns();
         let options = TransitionOptions::default();
         let cold = TransitionSim::new(&c, &faults, options.clone()).run(&pats);
-        let mut first =
-            ParallelTransitionSim::new(&c, &faults, options.clone(), 1, ShardPlan::RoundRobin);
+        let mut first = TransitionSim::new(&c, &faults, options.clone());
         first.run(&pats[..3]);
         let ck = first.checkpoint();
         assert_eq!(ck.pattern_index(), 3);
-        let mut resumed =
-            ParallelTransitionSim::new(&c, &faults, options, 1, ShardPlan::RoundRobin);
+        let mut resumed = TransitionSim::new(&c, &faults, options);
         resumed.restore(&ck).unwrap();
         resumed.run(&pats[3..]);
         assert_eq!(resumed.statuses(), cold.statuses);
-        let mut stuck = ParallelSim::new(
-            &c,
-            &enumerate_stuck_at(&c),
-            CsimVariant::Mv.options(),
-            1,
-            ShardPlan::RoundRobin,
-        );
+        let mut stuck = ConcurrentSim::new(&c, &enumerate_stuck_at(&c), CsimVariant::Mv.options());
         assert!(
             stuck.restore(&ck).is_err(),
             "a transition checkpoint is refused by a stuck-at sim"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a one-shard simulator")]
+    fn serial_only_accessors_refuse_a_sharded_sim() {
+        let c = s27();
+        let faults = enumerate_stuck_at(&c);
+        let mut par = ConcurrentSim::sharded(
+            &c,
+            &faults,
+            CsimVariant::Mv.options(),
+            2,
+            ShardPlan::RoundRobin,
+        );
+        par.step(&patterns()[0]);
     }
 }

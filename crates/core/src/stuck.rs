@@ -2,16 +2,13 @@
 //! variants from §4 of the paper.
 
 use std::fmt;
-use std::time::Instant;
 
-use cfs_faults::{FaultSimReport, FaultStatus, StuckAt};
+use cfs_faults::StuckAt;
 use cfs_logic::Logic;
-use cfs_netlist::{Circuit, DEFAULT_MACRO_MAX_INPUTS};
-use cfs_telemetry::{MetricsSnapshot, NullProbe, Probe, SimMetrics};
+use cfs_netlist::DEFAULT_MACRO_MAX_INPUTS;
+use cfs_telemetry::NullProbe;
 
-use crate::engine::Engine;
-use crate::model::sealed::Sealed as _;
-use crate::model::FaultModel as _;
+use crate::parallel::ShardedSim;
 
 /// Configuration of the concurrent simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +98,8 @@ pub struct StepResult {
 }
 
 /// The concurrent stuck-at fault simulator for synchronous sequential
-/// circuits.
+/// circuits: the stuck-at [`ShardedSim`], serial when built with
+/// [`ShardedSim::new`].
 ///
 /// # Examples
 ///
@@ -122,221 +120,4 @@ pub struct StepResult {
 /// assert!(report.detected() > 0);
 /// # Ok::<(), cfs_logic::ParseLogicError>(())
 /// ```
-pub struct ConcurrentSim<P: Probe = NullProbe> {
-    pub(crate) engine: Engine<P>,
-    options: CsimOptions,
-    circuit_name: String,
-    num_faults: usize,
-}
-
-impl<P: Probe> fmt::Debug for ConcurrentSim<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ConcurrentSim")
-            .field("circuit", &self.circuit_name)
-            .field("faults", &self.num_faults)
-            .field("options", &self.options)
-            .finish()
-    }
-}
-
-impl ConcurrentSim {
-    /// Compiles the circuit (and, with `-M`, its macro cells) and attaches
-    /// the fault universe. The resulting simulator carries no probe and
-    /// pays no instrumentation cost.
-    pub fn new(circuit: &Circuit, faults: &[StuckAt], options: CsimOptions) -> Self {
-        Self::with_probe(circuit, faults, options, NullProbe)
-    }
-}
-
-impl ConcurrentSim<SimMetrics> {
-    /// Like [`ConcurrentSim::new`], but with a recording [`SimMetrics`]
-    /// probe attached: per-pattern counters, histograms, and phase times
-    /// accumulate as the simulation runs.
-    pub fn instrumented(circuit: &Circuit, faults: &[StuckAt], options: CsimOptions) -> Self {
-        Self::with_probe(circuit, faults, options, SimMetrics::new())
-    }
-
-    /// The accumulated telemetry.
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.engine.probe
-    }
-
-    /// Collapses the accumulated telemetry into headline aggregates.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.engine.probe.snapshot(self.name(), &self.circuit_name)
-    }
-}
-
-impl<P: Probe> ConcurrentSim<P> {
-    /// Compiles the circuit and attaches the fault universe and an
-    /// arbitrary probe implementation.
-    pub fn with_probe(
-        circuit: &Circuit,
-        faults: &[StuckAt],
-        options: CsimOptions,
-        probe: P,
-    ) -> Self {
-        ConcurrentSim {
-            engine: StuckAt::engine(circuit, faults, &options, probe),
-            options,
-            circuit_name: circuit.name().to_owned(),
-            num_faults: faults.len(),
-        }
-    }
-
-    /// The attached probe (e.g. to drain a trace recorder after a run).
-    pub fn probe(&self) -> &P {
-        &self.engine.probe
-    }
-
-    /// Mutable access to the attached probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.engine.probe
-    }
-
-    /// The simulator's display name (`csim`, `csim-V`, `csim-M`, `csim-MV`).
-    pub fn name(&self) -> &'static str {
-        StuckAt::name(&self.options)
-    }
-
-    /// Forces the good-machine flip-flop state (e.g., a reset state); every
-    /// faulty machine's state is reset as well, except stuck Q outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` differs from the flip-flop count.
-    pub fn set_state(&mut self, state: &[Logic]) {
-        self.engine.set_dff_state(state);
-    }
-
-    /// Simulates one clock cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn step(&mut self, inputs: &[Logic]) -> StepResult {
-        let detections = self.engine.step_stuck(inputs);
-        let outputs = self
-            .engine
-            .net
-            .po_taps
-            .iter()
-            .map(|&p| self.engine.good[p as usize])
-            .collect();
-        StepResult {
-            outputs,
-            new_detections: detections.into_iter().map(|(f, _)| f as usize).collect(),
-        }
-    }
-
-    /// Simulates a pattern sequence and assembles the report.
-    pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
-        let start = Instant::now();
-        for p in patterns {
-            self.engine.step_stuck(p);
-        }
-        let cpu = start.elapsed();
-        FaultSimReport {
-            simulator: self.name().to_owned(),
-            circuit: self.circuit_name.clone(),
-            patterns: patterns.len(),
-            statuses: self.statuses(),
-            cpu,
-            memory_bytes: self.engine.memory_bytes(),
-            events: self.engine.events,
-            evaluations: self.engine.fault_evals,
-        }
-    }
-
-    /// Per-fault statuses, aligned with the fault list given to
-    /// [`ConcurrentSim::new`].
-    pub fn statuses(&self) -> Vec<FaultStatus> {
-        self.engine.statuses()
-    }
-
-    /// Number of faults detected so far.
-    pub fn detected(&self) -> usize {
-        self.engine.detected()
-    }
-
-    /// Live fault elements right now.
-    pub fn live_elements(&self) -> usize {
-        self.engine.arena.live()
-    }
-
-    /// Peak live fault elements so far.
-    pub fn peak_elements(&self) -> usize {
-        self.engine.arena.peak()
-    }
-
-    /// Paper-comparable memory model in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.engine.memory_bytes()
-    }
-
-    /// Validates the internal fault-list invariants (sorted unique lists,
-    /// element accounting, permanent local elements).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the first violation. Intended for
-    /// tests and debugging; cost is linear in live elements.
-    pub fn assert_invariants(&self) {
-        self.engine.assert_invariants();
-    }
-
-    /// Forces the per-pattern invariant verifier on (or off) regardless of
-    /// the build profile — the CLI's `--paranoid`. The verifier re-checks
-    /// every concurrent-list law (sorted sentinel-terminated lists, the
-    /// visible/invisible partition against the good values, the
-    /// detected-fault purge) after each simulated pattern.
-    pub fn set_paranoid(&mut self, on: bool) {
-        self.engine.verify = on;
-    }
-
-    /// Node activations processed so far.
-    pub fn events(&self) -> u64 {
-        self.engine.events
-    }
-
-    /// Faulty-machine evaluations performed so far.
-    pub fn fault_evaluations(&self) -> u64 {
-        self.engine.fault_evals
-    }
-
-    /// Work units skipped by quiescence gating so far.
-    pub fn quiesce_skips(&self) -> u64 {
-        self.engine.quiesce_skips
-    }
-
-    /// Dormant-node wakes observed so far.
-    pub fn quiesce_wakes(&self) -> u64 {
-        self.engine.quiesce_wakes
-    }
-
-    /// The configured options (for checkpoint validation).
-    pub fn options(&self) -> &CsimOptions {
-        &self.options
-    }
-
-    /// Captures a pattern-boundary checkpoint of the full simulation state.
-    ///
-    /// Call only between [`step`](Self::step)/[`run`](Self::run) calls.
-    pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint::capture(&self.engine, crate::checkpoint::Model::Stuck)
-    }
-
-    /// Restores a checkpoint captured from an identically configured
-    /// simulator (same circuit, fault universe, and options).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::checkpoint::CheckpointError`] when the checkpoint
-    /// does not match this simulator's configuration.
-    pub fn restore(
-        &mut self,
-        ck: &crate::checkpoint::Checkpoint,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        ck.restore_into(&mut self.engine, crate::checkpoint::Model::Stuck)
-    }
-}
+pub type ConcurrentSim<P = NullProbe> = ShardedSim<StuckAt, P>;

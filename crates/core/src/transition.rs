@@ -13,16 +13,12 @@
 //!    previous values for the next cycle. Only then do the flip-flop slaves
 //!    take the stashed state.
 
-use std::fmt;
-use std::time::Instant;
-
-use cfs_faults::{FaultSimReport, FaultStatus, TransitionFault};
+use cfs_faults::TransitionFault;
 use cfs_logic::Logic;
-use cfs_netlist::Circuit;
-use cfs_telemetry::{MetricsSnapshot, NullProbe, Phase, Probe, SimMetrics};
+use cfs_telemetry::{NullProbe, Phase, Probe};
 
 use crate::engine::{Detection, Engine};
-use crate::model::sealed::Sealed as _;
+use crate::parallel::ShardedSim;
 
 /// Configuration of the transition fault simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,8 +42,11 @@ impl Default for TransitionOptions {
     }
 }
 
-/// Concurrent transition fault simulator (gate-level; the transition model
-/// addresses individual gate pins, so macro collapsing does not apply).
+/// Concurrent transition fault simulator: the transition-fault
+/// [`ShardedSim`] (gate-level; the transition model addresses individual
+/// gate pins, so macro collapsing does not apply). The per-fault
+/// previous-pin state and the latch stash live inside each shard's own
+/// engine, so sharding changes nothing about the two-pass semantics.
 ///
 /// # Examples
 ///
@@ -68,179 +67,7 @@ impl Default for TransitionOptions {
 /// assert_eq!(report.total_faults(), faults.len());
 /// # Ok::<(), cfs_logic::ParseLogicError>(())
 /// ```
-pub struct TransitionSim<P: Probe = NullProbe> {
-    pub(crate) engine: Engine<P>,
-    circuit_name: String,
-    num_faults: usize,
-}
-
-impl<P: Probe> fmt::Debug for TransitionSim<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TransitionSim")
-            .field("circuit", &self.circuit_name)
-            .field("faults", &self.num_faults)
-            .finish()
-    }
-}
-
-impl TransitionSim {
-    /// Compiles the gate-level network with the transition fault universe.
-    /// The resulting simulator carries no probe and pays no
-    /// instrumentation cost.
-    pub fn new(circuit: &Circuit, faults: &[TransitionFault], options: TransitionOptions) -> Self {
-        Self::with_probe(circuit, faults, options, NullProbe)
-    }
-}
-
-impl TransitionSim<SimMetrics> {
-    /// Like [`TransitionSim::new`], but with a recording [`SimMetrics`]
-    /// probe attached.
-    pub fn instrumented(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-    ) -> Self {
-        Self::with_probe(circuit, faults, options, SimMetrics::new())
-    }
-
-    /// The accumulated telemetry.
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.engine.probe
-    }
-
-    /// Collapses the accumulated telemetry into headline aggregates.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.engine.probe.snapshot("csim-T", &self.circuit_name)
-    }
-}
-
-impl<P: Probe> TransitionSim<P> {
-    /// Compiles the gate-level network with the transition fault universe
-    /// and an arbitrary probe implementation.
-    pub fn with_probe(
-        circuit: &Circuit,
-        faults: &[TransitionFault],
-        options: TransitionOptions,
-        probe: P,
-    ) -> Self {
-        TransitionSim {
-            engine: TransitionFault::engine(circuit, faults, &options, probe),
-            circuit_name: circuit.name().to_owned(),
-            num_faults: faults.len(),
-        }
-    }
-
-    /// Simulates one clock cycle (both passes). Returns the indices of
-    /// faults first detected this cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the primary-input count.
-    pub fn step(&mut self, inputs: &[Logic]) -> Vec<usize> {
-        self.engine
-            .step_transition(inputs, None)
-            .into_iter()
-            .map(|(f, _)| f as usize)
-            .collect()
-    }
-
-    /// Forces the per-pattern invariant verifier on (or off) regardless of
-    /// the build profile — the CLI's `--paranoid`.
-    pub fn set_paranoid(&mut self, on: bool) {
-        self.engine.verify = on;
-    }
-
-    /// The attached probe (e.g. to drain a trace recorder after a run).
-    pub fn probe(&self) -> &P {
-        &self.engine.probe
-    }
-
-    /// Mutable access to the attached probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.engine.probe
-    }
-
-    /// Simulates a pattern sequence and assembles the report.
-    pub fn run(&mut self, patterns: &[Vec<Logic>]) -> FaultSimReport {
-        let start = Instant::now();
-        for p in patterns {
-            self.step(p);
-        }
-        let cpu = start.elapsed();
-        FaultSimReport {
-            simulator: "csim-T".to_owned(),
-            circuit: self.circuit_name.clone(),
-            patterns: patterns.len(),
-            statuses: self.statuses(),
-            cpu,
-            memory_bytes: self.engine.memory_bytes(),
-            events: self.engine.events,
-            evaluations: self.engine.fault_evals,
-        }
-    }
-
-    /// Per-fault statuses, aligned with the fault list given to
-    /// [`TransitionSim::new`].
-    pub fn statuses(&self) -> Vec<FaultStatus> {
-        self.engine.statuses()
-    }
-
-    /// Number of faults detected so far.
-    pub fn detected(&self) -> usize {
-        self.engine.detected()
-    }
-
-    /// Peak live fault elements so far.
-    pub fn peak_elements(&self) -> usize {
-        self.engine.arena.peak()
-    }
-
-    /// Node activations processed so far (the paper's event count).
-    pub fn events(&self) -> u64 {
-        self.engine.events
-    }
-
-    /// Individual faulty-machine evaluations performed so far.
-    pub fn fault_evaluations(&self) -> u64 {
-        self.engine.fault_evals
-    }
-
-    /// Paper-comparable memory model in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.engine.memory_bytes()
-    }
-
-    /// Work units skipped by quiescence gating so far.
-    pub fn quiesce_skips(&self) -> u64 {
-        self.engine.quiesce_skips
-    }
-
-    /// Dormant-node wakes observed so far.
-    pub fn quiesce_wakes(&self) -> u64 {
-        self.engine.quiesce_wakes
-    }
-
-    /// Captures a pattern-boundary checkpoint of the full simulation state.
-    ///
-    /// Call only between [`step`](Self::step)/[`run`](Self::run) calls.
-    pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint::capture(&self.engine, crate::checkpoint::Model::Transition)
-    }
-
-    /// Restores a checkpoint captured from an identically configured
-    /// simulator (same circuit, fault universe, and options).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::checkpoint::CheckpointError`] when the checkpoint
-    /// does not match this simulator's configuration.
-    pub fn restore(
-        &mut self,
-        ck: &crate::checkpoint::Checkpoint,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        ck.restore_into(&mut self.engine, crate::checkpoint::Model::Transition)
-    }
-}
+pub type TransitionSim<P = NullProbe> = ShardedSim<TransitionFault, P>;
 
 impl<P: Probe> Engine<P> {
     /// One transition clock cycle (both passes) against an optional shared

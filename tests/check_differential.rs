@@ -6,10 +6,7 @@
 //! against the concurrent-list laws).
 
 use cfs_baselines::SerialSim;
-use cfs_core::{
-    ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan, TransitionOptions,
-    TransitionSim,
-};
+use cfs_core::{ConcurrentSim, CsimVariant, ShardPlan, TransitionOptions, TransitionSim};
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
 use cfs_logic::Logic;
 use cfs_netlist::generate::{generate, CircuitSpec};
@@ -51,7 +48,7 @@ fn checked_then_simulated(circuit: &Circuit, patterns: usize, seed: u64) {
             circuit.name()
         );
         let mut sharded =
-            ParallelSim::new(circuit, &stuck, variant.options(), 4, ShardPlan::RoundRobin);
+            ConcurrentSim::sharded(circuit, &stuck, variant.options(), 4, ShardPlan::RoundRobin);
         let sharded_report = sharded.run(&patterns);
         assert_eq!(
             sharded_report.statuses,
@@ -63,7 +60,7 @@ fn checked_then_simulated(circuit: &Circuit, patterns: usize, seed: u64) {
     let transition = enumerate_transition(circuit);
     let mut serial_t = TransitionSim::new(circuit, &transition, TransitionOptions::default());
     let serial_report = serial_t.run(&patterns);
-    let mut par_t = ParallelTransitionSim::new(
+    let mut par_t = TransitionSim::sharded(
         circuit,
         &transition,
         TransitionOptions::default(),

@@ -13,8 +13,7 @@
 
 use cfs_check::{classify_stuck_at, classify_transition, diff_netlists, impact_analysis};
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
-    TransitionOptions, TransitionSim,
+    detections_of, ConcurrentSim, CsimVariant, ShardPlan, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
@@ -91,7 +90,7 @@ fn check_stuck(base: &Circuit, edited: &Circuit, patterns: &[Vec<Logic>], contex
                     .run(patterns)
                     .statuses
             } else {
-                ParallelSim::new(
+                ConcurrentSim::sharded(
                     edited,
                     &universe.affected,
                     variant.options(),
@@ -131,7 +130,7 @@ fn check_transition(base: &Circuit, edited: &Circuit, patterns: &[Vec<Logic>], c
                 .run(patterns)
                 .statuses
         } else {
-            ParallelTransitionSim::new(
+            TransitionSim::sharded(
                 edited,
                 &universe.affected,
                 TransitionOptions::default(),

@@ -14,10 +14,7 @@
 use proptest::prelude::*;
 
 use cfs_baselines::{SerialSim, SerialTransitionSim};
-use cfs_core::{
-    ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan, TransitionOptions,
-    TransitionSim,
-};
+use cfs_core::{ConcurrentSim, CsimVariant, ShardPlan, TransitionOptions, TransitionSim};
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
 use cfs_logic::Logic;
 use cfs_netlist::generate::{generate, CircuitSpec};
@@ -64,7 +61,7 @@ proptest! {
             let got: Vec<bool> = serial_statuses.iter().map(|s| s.is_detected()).collect();
             prop_assert_eq!(&got, &expected, "{} vs oracle on {}", variant, circuit.name());
             for threads in THREAD_COUNTS {
-                let mut par = ParallelSim::new(
+                let mut par = ConcurrentSim::sharded(
                     &circuit,
                     &faults,
                     variant.options(),
@@ -97,7 +94,7 @@ proptest! {
         let got: Vec<bool> = serial_statuses.iter().map(|s| s.is_detected()).collect();
         prop_assert_eq!(&got, &expected, "transition vs oracle on {}", circuit.name());
         for threads in THREAD_COUNTS {
-            let mut par = ParallelTransitionSim::new(
+            let mut par = TransitionSim::sharded(
                 &circuit,
                 &faults,
                 TransitionOptions::default(),

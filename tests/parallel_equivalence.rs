@@ -15,8 +15,8 @@ use proptest::prelude::*;
 
 use cfs_check::{analyze_circuit, prune_stuck_at, prune_transition};
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, NullProbe, ParallelSim, ParallelTransitionSim,
-    ShardPlan, TransitionOptions, TransitionSim,
+    detections_of, ConcurrentSim, CsimVariant, NullProbe, ShardPlan, TransitionOptions,
+    TransitionSim,
 };
 use cfs_faults::{
     collapse_stuck_at, enumerate_stuck_at, enumerate_transition, FaultStatus, PrunedUniverse,
@@ -49,7 +49,8 @@ fn check_stuck_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>], plan: Sha
         let reference = serial.run(patterns);
         let ref_detections = detections_of(&reference.statuses);
         for threads in THREAD_COUNTS {
-            let mut par = ParallelSim::new(circuit, &faults, variant.options(), threads, plan);
+            let mut par =
+                ConcurrentSim::sharded(circuit, &faults, variant.options(), threads, plan);
             let report = par.run(patterns);
             assert_eq!(
                 report.statuses,
@@ -73,7 +74,7 @@ fn check_transition_equivalence(circuit: &Circuit, patterns: &[Vec<Logic>], plan
     let mut serial = TransitionSim::new(circuit, &faults, TransitionOptions::default());
     let reference = serial.run(patterns);
     for threads in THREAD_COUNTS {
-        let mut par = ParallelTransitionSim::new(
+        let mut par = TransitionSim::sharded(
             circuit,
             &faults,
             TransitionOptions::default(),
@@ -130,7 +131,7 @@ fn check_stuck_oversharded(c: &Circuit, patterns: &[Vec<Logic>]) {
         let reference = ConcurrentSim::new(c, &faults, variant.options()).run(patterns);
         for threads in THREAD_COUNTS {
             let shards = threads * 2 - 1;
-            let mut par = ParallelSim::with_probes_sharded(
+            let mut par = ConcurrentSim::with_probes_sharded(
                 c,
                 &faults,
                 variant.options(),
@@ -188,7 +189,7 @@ fn transition_oversharded_matches_serial_on_random_netlists() {
             TransitionSim::new(&c, &faults, TransitionOptions::default()).run(&patterns);
         for threads in THREAD_COUNTS {
             let shards = threads * 2 - 1;
-            let mut par = ParallelTransitionSim::with_probes_sharded(
+            let mut par = TransitionSim::with_probes_sharded(
                 &c,
                 &faults,
                 TransitionOptions::default(),
@@ -220,7 +221,7 @@ fn multi_block_runs_match_serial() {
     let patterns = random_patterns(&c, 1000, 0xB10C);
     let reference = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options()).run(&patterns);
     for (threads, shards) in [(2, 2), (3, 5), (2, 7)] {
-        let mut par = ParallelSim::with_probes_sharded(
+        let mut par = ConcurrentSim::with_probes_sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),
@@ -281,7 +282,7 @@ fn pruned_sharded_stuck_matches_full_serial() {
     for variant in CsimVariant::ALL {
         let reference = ConcurrentSim::new(&c, &full, variant.options()).run(&patterns);
         for threads in [2, 7] {
-            let mut par = ParallelSim::new(
+            let mut par = ConcurrentSim::sharded(
                 &c,
                 &pruned.sim,
                 variant.options(),
@@ -310,7 +311,7 @@ fn pruned_sharded_transition_matches_full_serial() {
     pruned.validate().expect("pruned universe invariants");
     let reference = TransitionSim::new(&c, &full, TransitionOptions::default()).run(&patterns);
     for threads in [2, 7] {
-        let mut par = ParallelTransitionSim::new(
+        let mut par = TransitionSim::sharded(
             &c,
             &pruned.sim,
             TransitionOptions::default(),
@@ -353,7 +354,7 @@ fn adversarial_giant_shard_partition_is_serial_identical() {
         Vec::new(),
     ];
     for threads in [2, 4] {
-        let mut par = ParallelSim::with_partition(
+        let mut par = ConcurrentSim::with_partition(
             &c,
             &faults,
             options.clone(),
@@ -408,7 +409,7 @@ fn parallel_runs_are_reproducible() {
     let faults = collapse_stuck_at(&c).representatives;
     let patterns = random_patterns(&c, 50, 0xAB1E);
     let run = |plan| {
-        let mut sim = ParallelSim::new(&c, &faults, CsimVariant::Mv.options(), 4, plan);
+        let mut sim = ConcurrentSim::sharded(&c, &faults, CsimVariant::Mv.options(), 4, plan);
         sim.run(&patterns).statuses
     };
     for plan in ShardPlan::ALL {

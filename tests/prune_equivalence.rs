@@ -14,8 +14,7 @@ use cfs_check::{
     prune_transition_learned, ImplicationGraph, LearnOptions,
 };
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
-    TransitionOptions, TransitionSim,
+    detections_of, ConcurrentSim, CsimVariant, ShardPlan, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{enumerate_stuck_at, enumerate_transition, FaultStatus, PrunedUniverse};
 use cfs_logic::Logic;
@@ -81,7 +80,7 @@ fn check_stuck(circuit: &Circuit, patterns: &[Vec<Logic>]) {
             let report = if threads == 1 {
                 ConcurrentSim::new(circuit, &pruned.sim, variant.options()).run(patterns)
             } else {
-                ParallelSim::new(
+                ConcurrentSim::sharded(
                     circuit,
                     &pruned.sim,
                     variant.options(),
@@ -111,7 +110,7 @@ fn check_transition(circuit: &Circuit, patterns: &[Vec<Logic>]) {
         let report = if threads == 1 {
             TransitionSim::new(circuit, &pruned.sim, TransitionOptions::default()).run(patterns)
         } else {
-            ParallelTransitionSim::new(
+            TransitionSim::sharded(
                 circuit,
                 &pruned.sim,
                 TransitionOptions::default(),
@@ -154,7 +153,7 @@ fn check_learned(circuit: &Circuit, patterns: &[Vec<Logic>]) {
             ConcurrentSim::new(circuit, &learned.universe.sim, CsimVariant::Mv.options())
                 .run(patterns)
         } else {
-            ParallelSim::new(
+            ConcurrentSim::sharded(
                 circuit,
                 &learned.universe.sim,
                 CsimVariant::Mv.options(),
@@ -179,7 +178,7 @@ fn check_learned(circuit: &Circuit, patterns: &[Vec<Logic>]) {
         let report = if threads == 1 {
             TransitionSim::new(circuit, &tl.sim, TransitionOptions::default()).run(patterns)
         } else {
-            ParallelTransitionSim::new(
+            TransitionSim::sharded(
                 circuit,
                 &tl.sim,
                 TransitionOptions::default(),

@@ -17,8 +17,8 @@
 //! to fire.
 
 use cfs_core::{
-    Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ParallelSim,
-    ParallelTransitionSim, ShardPlan, TransitionOptions, TransitionSim,
+    Checkpoint, ConcurrentSim, CsimOptions, CsimVariant, NullProbe, ShardPlan, TransitionOptions,
+    TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition, FaultStatus};
 use cfs_logic::Logic;
@@ -160,7 +160,7 @@ fn gated_matches_under_sharding() {
         .run(&patterns)
         .statuses;
     for (threads, shards) in [(2usize, 2usize), (4, 4), (2, 5)] {
-        let mut par = ParallelSim::with_probes_sharded(
+        let mut par = ConcurrentSim::with_probes_sharded(
             &c,
             &stuck,
             gated(variant, 4),
@@ -175,7 +175,7 @@ fn gated_matches_under_sharding() {
             report.statuses, stuck_ref,
             "stuck gated threads={threads} shards={shards}"
         );
-        let mut tpar = ParallelTransitionSim::with_probes_sharded(
+        let mut tpar = TransitionSim::with_probes_sharded(
             &c,
             &transition,
             gated_transition(4),

@@ -9,8 +9,7 @@
 use std::time::Instant;
 
 use cfs_core::{
-    detections_of, ConcurrentSim, CsimVariant, ParallelSim, ParallelTransitionSim, ShardPlan,
-    TransitionOptions, TransitionSim,
+    detections_of, ConcurrentSim, CsimVariant, ShardPlan, TransitionOptions, TransitionSim,
 };
 use cfs_faults::{collapse_stuck_at, enumerate_transition};
 use cfs_logic::Logic;
@@ -45,7 +44,7 @@ fn traced_stuck_run(threads: usize) -> (String, Vec<cfs_faults::FaultStatus>) {
     let faults = collapse_stuck_at(&c).representatives;
     let pats = patterns(&c, 64, 7);
     let epoch = Instant::now();
-    let mut sim = ParallelSim::with_probes(
+    let mut sim = ConcurrentSim::with_probes(
         &c,
         &faults,
         CsimVariant::Mv.options(),
@@ -195,7 +194,7 @@ fn transition_detections_identical_tracing_on_and_off() {
     let baseline = plain.run(&pats);
     for threads in [1, 4] {
         let epoch = Instant::now();
-        let mut sim = ParallelTransitionSim::with_probes(
+        let mut sim = TransitionSim::with_probes(
             &c,
             &faults,
             TransitionOptions::default(),
@@ -229,7 +228,7 @@ fn phase_call_counts_are_schedule_invariant() {
     let pats = patterns(&c, 48, 13);
     let shards = 4;
     let snapshot_of = |threads: usize| -> MetricsSnapshot {
-        let mut sim = ParallelSim::with_probes_sharded(
+        let mut sim = ConcurrentSim::with_probes_sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),
@@ -275,7 +274,7 @@ fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
         .map(|r| r.counters.detected)
         .collect();
     let mut serial_milestones = Vec::new();
-    ParallelSim::new(
+    ConcurrentSim::sharded(
         &c,
         &faults,
         CsimVariant::Mv.options(),
@@ -285,7 +284,7 @@ fn window_milestones_walk_the_partition_and_merge_to_serial_records() {
     .run_with(&pats, |_, done| serial_milestones.push(done));
     assert_eq!(serial_milestones, [128, 256, 300], "serial block walk");
     for (threads, shards) in [(2, 2), (3, 5)] {
-        let mut sim = ParallelSim::with_probes_sharded(
+        let mut sim = ConcurrentSim::with_probes_sharded(
             &c,
             &faults,
             CsimVariant::Mv.options(),

@@ -95,8 +95,11 @@ fn figure4_concurrent_detects_like_the_paper() {
     let y = c.find("y").unwrap();
     let fault = TransitionFault::new(y, 0, Edge::Rise);
     let mut sim = TransitionSim::new(&c, &[fault], TransitionOptions::default());
-    assert!(sim.step(&[Logic::Zero, Logic::One]).is_empty());
-    let det = sim.step(&[Logic::One, Logic::One]);
+    assert!(sim
+        .step(&[Logic::Zero, Logic::One])
+        .new_detections
+        .is_empty());
+    let det = sim.step(&[Logic::One, Logic::One]).new_detections;
     assert_eq!(det, vec![0], "held 0 at the sensitized AND input");
 }
 
