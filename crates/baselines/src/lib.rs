@@ -31,15 +31,11 @@
 #![forbid(unsafe_code)]
 
 mod deductive;
-mod dictionary;
-mod ppsfp;
 mod proofs;
 mod serial;
 mod transition_ref;
 
 pub use deductive::{deductive_supported, zero_state, DeductiveError, DeductiveSim};
-pub use dictionary::{Failure, FaultDictionary, PassFailDictionary};
-pub use ppsfp::PpsfpSim;
 pub use proofs::ProofsSim;
 pub use serial::{FaultySim, SerialSim};
 pub use transition_ref::SerialTransitionSim;

@@ -159,6 +159,25 @@ use cfs_trace::{
     write_chrome_trace, FaultTimeline, Heatmap, TraceConfig, TraceEvent, TraceRecorder, TrackTrace,
 };
 
+/// `print!` to stdout that returns the write error instead of panicking,
+/// so `main` can end a run whose reader closed the pipe (`fsim … | head`)
+/// quietly.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        io::stdout().write_fmt(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 #[derive(Debug)]
 struct CliError(String);
 
@@ -196,6 +215,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader of stdout went away: nothing is left to report to.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) if e.is::<DiagnosticError>() => {
             eprintln!("{e}");
             ExitCode::from(2)
@@ -734,7 +760,7 @@ fn write_detections(
         text.push_str(&format!("{pattern} {fault}\n"));
     }
     fs::write(path, text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    println!("wrote {} detections to {path}", dets.len());
+    outln!("wrote {} detections to {path}", dets.len())?;
     Ok(())
 }
 
@@ -816,10 +842,10 @@ fn verify_incremental<F: Copy>(
             report.render_text()
         )));
     }
-    println!(
+    outln!(
         "paranoid: all {} transferred fate(s) agree with a cold full re-run",
         universe.stats.transferred
-    );
+    )?;
     Ok(())
 }
 
@@ -903,10 +929,10 @@ fn write_baseline(
     write_json_string(&mut out, &statuses_to_text(statuses));
     out.push_str("}\n");
     fs::write(path, out).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    println!(
+    outln!(
         "wrote {model} baseline ({} faults) to {path}",
         statuses.len()
-    );
+    )?;
     Ok(())
 }
 
@@ -1021,7 +1047,7 @@ fn prepare_incremental<M: CliModel>(
     let mut report = cfs_check::Report::new(edited.name());
     impact_findings(&analysis, &mut report);
     if !report.diagnostics.is_empty() {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text())?;
     }
     if report.has_errors() {
         return Err(diag(
@@ -1043,15 +1069,15 @@ fn prepare_incremental<M: CliModel>(
 }
 
 /// Prints what an `--incremental` run is about to simulate.
-fn print_impact_banner(model: &str, stats: &ImpactStats) {
-    println!(
+fn print_impact_banner(model: &str, stats: &ImpactStats) -> io::Result<()> {
+    outln!(
         "incremental: {} of {} {model} faults affected, {} fates transfer from the \
          baseline; re-simulating {:.1}% of the universe",
         stats.affected,
         stats.full,
         stats.transferred,
         100.0 * stats.ratio()
-    );
+    )
 }
 
 fn load_circuit(spec: &str) -> Result<Circuit, Box<dyn std::error::Error>> {
@@ -1116,8 +1142,8 @@ fn cmd_check(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let format = flag_value(args, "--format").unwrap_or("text");
     let report = check_spec(spec)?;
     match format {
-        "text" => print!("{}", report.render_text()),
-        "json" => println!("{}", report.render_json()),
+        "text" => out!("{}", report.render_text())?,
+        "json" => outln!("{}", report.render_json())?,
         other => return Err(err(format!("unknown format {other:?} (text, json)"))),
     }
     if report.has_errors() {
@@ -1214,23 +1240,23 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             dom.dropped()
         ));
         out.push_str(&format!("\"findings\":{}}}", report.render_json()));
-        println!("{out}");
+        outln!("{out}")?;
         return Ok(());
     }
-    println!("{c}");
-    println!(
+    outln!("{c}")?;
+    outln!(
         "value reachability: {constant_nets} constant net(s), {observable}/{} nodes observable",
         c.num_nodes()
-    );
+    )?;
     if let Some((graph, ls)) = &learned {
-        println!(
+        outln!(
             "implication learning: {} direct + {} learned edge(s) over {} frame(s), \
              {} dominance pair(s)",
             graph.num_direct(),
             graph.num_learned(),
             graph.frames(),
             ls.dominance.len()
-        );
+        )?;
     }
     let conflict_part = |n: usize| {
         if learned.is_some() {
@@ -1239,7 +1265,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             String::new()
         }
     };
-    println!(
+    outln!(
         "stuck-at: {} faults, {} exact classes, {} simulated \
          (pruned {}: {} unexcitable, {} unobservable{}; {:.1}% of full)",
         s.full,
@@ -1250,14 +1276,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         s.unobservable,
         conflict_part(s.conflict),
         100.0 * s.ratio()
-    );
-    println!(
+    )?;
+    outln!(
         "dominance: {} edge(s), {} of {} classes kept as analysis targets",
         dom.edges.len(),
         dom.kept.len(),
         dom.base.num_classes()
-    );
-    println!(
+    )?;
+    outln!(
         "transition: {} faults, {} simulated \
          (pruned {}: {} unexcitable, {} unobservable{}; {:.1}% of full)",
         t.full,
@@ -1267,10 +1293,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         t.unobservable,
         conflict_part(t.conflict),
         100.0 * t.ratio()
-    );
+    )?;
     if !report.diagnostics.is_empty() {
-        println!();
-        print!("{}", report.render_text());
+        outln!()?;
+        out!("{}", report.render_text())?;
     }
     Ok(())
 }
@@ -1364,11 +1390,11 @@ fn cmd_rules(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ));
         }
         out.push(']');
-        println!("{out}");
+        outln!("{out}")?;
         return Ok(());
     }
     for (code, slug, sev, desc) in &rows {
-        println!("{code}  {:<7}  {slug:<32}  {desc}", sev.name());
+        outln!("{code}  {:<7}  {slug:<32}  {desc}", sev.name())?;
     }
     Ok(())
 }
@@ -1433,23 +1459,23 @@ fn cmd_implications(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         out.push_str("]}");
-        println!("{out}");
+        outln!("{out}")?;
         return Ok(());
     }
-    println!(
+    outln!(
         "implications of {} net {net_name:?} over {frames} frame(s) \
          ({} direct + {} learned edges in the graph)",
         c.name(),
         graph.num_direct(),
         graph.num_learned()
-    );
+    )?;
     for value in [false, true] {
         let imps = graph.implications_of(net, value);
-        println!(
+        outln!(
             "  {net_name}={}: {} implication(s)",
             u8::from(value),
             imps.len()
-        );
+        )?;
         for imp in imps {
             let frame = match imp.delta {
                 0 => "@t".to_owned(),
@@ -1457,15 +1483,15 @@ fn cmd_implications(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 d => format!("@t{d}"),
             };
             let learned = if imp.learned { "  (learned)" } else { "" };
-            println!(
+            outln!(
                 "    -> {}={} {frame}{learned}",
                 c.gate(imp.target).name(),
                 u8::from(imp.value)
-            );
+            )?;
         }
     }
     if horizon > 0 {
-        println!("facts are guaranteed at steady-state cycles t >= {horizon}");
+        outln!("facts are guaranteed at steady-state cycles t >= {horizon}")?;
     }
     Ok(())
 }
@@ -1573,14 +1599,14 @@ fn cmd_impact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ));
         }
         out.push_str(&format!("\"findings\":{}}}", report.render_json()));
-        println!("{out}");
+        outln!("{out}")?;
         return Ok(());
     }
-    println!("impact: {} -> {}", base.name(), edited.name());
+    outln!("impact: {} -> {}", base.name(), edited.name())?;
     if analysis.diff.is_empty() {
-        println!("no structural differences; every fault's fate transfers");
+        outln!("no structural differences; every fault's fate transfers")?;
     } else {
-        println!(
+        outln!(
             "{} edit(s){}:",
             analysis.diff.edits.len(),
             if analysis.diff.inputs_changed {
@@ -1588,16 +1614,16 @@ fn cmd_impact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 ""
             }
-        );
+        )?;
         const MAX_SHOWN: usize = 20;
         for e in analysis.diff.edits.iter().take(MAX_SHOWN) {
-            println!("{}", render_edit(e));
+            outln!("{}", render_edit(e))?;
         }
         if analysis.diff.edits.len() > MAX_SHOWN {
-            println!("  ... {} more", analysis.diff.edits.len() - MAX_SHOWN);
+            outln!("  ... {} more", analysis.diff.edits.len() - MAX_SHOWN)?;
         }
     }
-    println!(
+    outln!(
         "affected cone: {} node(s) in base, {} in edited, {} signal name(s){}",
         analysis.base_cone_nodes,
         analysis.edited_cone_nodes,
@@ -1607,22 +1633,22 @@ fn cmd_impact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         } else {
             ""
         }
-    );
+    )?;
     for (model, s) in [
         ("stuck-at", &stuck.stats),
         ("transition", &transition.stats),
     ] {
-        println!(
+        outln!(
             "{model}: {} of {} faults affected ({} transfer; re-simulate {:.1}%)",
             s.affected,
             s.full,
             s.transferred,
             100.0 * s.ratio()
-        );
+        )?;
     }
     if !report.diagnostics.is_empty() {
-        println!();
-        print!("{}", report.render_text());
+        outln!()?;
+        out!("{}", report.render_text())?;
     }
     Ok(())
 }
@@ -1649,18 +1675,18 @@ fn cmd_mutate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let applied = apply_edit(&c, edit, choice)?;
     if let Some(path) = flag_value(args, "--out") {
         fs::write(path, &applied.text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        println!(
+        outln!(
             "{} (choice {} of {candidates}); wrote {path}",
             applied.description,
             choice % candidates.max(1)
-        );
+        )?;
     } else {
         eprintln!(
             "{} (choice {} of {candidates})",
             applied.description,
             choice % candidates.max(1)
         );
-        print!("{}", applied.text);
+        out!("{}", applied.text)?;
     }
     Ok(())
 }
@@ -1706,32 +1732,33 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     validate_flags("stats", args, STATS_FLAGS)?;
     let spec = args.first().ok_or_else(|| err("stats: missing circuit"))?;
     let c = load_circuit(spec)?;
-    println!("{c}");
+    outln!("{c}")?;
     let all = enumerate_stuck_at(&c);
     let collapsed = collapse_stuck_at(&c);
-    println!(
+    outln!(
         "stuck-at faults: {} ({} collapsed, ratio {:.2})",
         all.len(),
         collapsed.num_classes(),
         collapsed.ratio()
-    );
-    println!("transition faults: {}", enumerate_transition(&c).len());
+    )?;
+    outln!("transition faults: {}", enumerate_transition(&c).len())?;
     let macros = extract_macros(&c, cfs_netlist::DEFAULT_MACRO_MAX_INPUTS);
-    println!(
+    outln!(
         "macro cells: {} ({:.2} gates/cell, {} KiB of LUTs)",
         macros.num_cells(),
         c.num_comb_gates() as f64 / macros.num_cells() as f64,
         macros.lut_memory_bytes() / 1024
-    );
+    )?;
     Ok(())
 }
 
-fn print_report(report: &FaultSimReport) {
-    println!("{report}");
-    println!(
+fn print_report(report: &FaultSimReport) -> io::Result<()> {
+    outln!("{report}")?;
+    outln!(
         "  events: {}, faulty-machine evaluations: {}",
-        report.events, report.evaluations
-    );
+        report.events,
+        report.evaluations
+    )
 }
 
 type JsonlFile = JsonlWriter<io::BufWriter<fs::File>>;
@@ -1753,7 +1780,7 @@ fn close_jsonl(
     if let (Some(mut w), Some(p)) = (jsonl, path.as_ref()) {
         w.flush()
             .map_err(|e| err(format!("cannot write {p}: {e}")))?;
-        println!("wrote telemetry to {p}");
+        outln!("wrote telemetry to {p}")?;
     }
     Ok(())
 }
@@ -1795,7 +1822,7 @@ fn merged_trace_progress(
     every: usize,
     done: usize,
     total: usize,
-) {
+) -> io::Result<()> {
     while state.cursor < done {
         let p = state.cursor - state.first;
         let mut avg = 0.0;
@@ -1809,12 +1836,14 @@ fn merged_trace_progress(
         }
         state.cursor += 1;
         if state.cursor.is_multiple_of(every) {
-            println!(
+            outln!(
                 "  pattern {:>6}: detected {}/{total}  avg |F| {avg:.1}  events {events}",
-                state.cursor, state.detected
-            );
+                state.cursor,
+                state.detected
+            )?;
         }
     }
+    Ok(())
 }
 
 /// The probe attached by `--trace-out`: aggregate metrics and the event
@@ -1905,14 +1934,17 @@ fn write_trace_file(
              discarded (raise --trace-capacity)"
         );
     }
-    println!("wrote trace to {path} ({recorded} events recorded, {dropped} dropped)");
+    outln!("wrote trace to {path} ({recorded} events recorded, {dropped} dropped)")?;
     Ok(())
 }
 
 /// The per-run detail blocks behind `--stats`: the quiescence line (gated
 /// runs only), phase times, and the two engine histograms, merged across
 /// the run's shard recorders.
-fn print_stats_detail<'a>(snap: &MetricsSnapshot, shards: impl Iterator<Item = &'a SimMetrics>) {
+fn print_stats_detail<'a>(
+    snap: &MetricsSnapshot,
+    shards: impl Iterator<Item = &'a SimMetrics>,
+) -> io::Result<()> {
     let mut list_hist = Log2Histogram::default();
     let mut queue_hist = Log2Histogram::default();
     for m in shards {
@@ -1920,20 +1952,21 @@ fn print_stats_detail<'a>(snap: &MetricsSnapshot, shards: impl Iterator<Item = &
         queue_hist.merge(&m.queue_depth_hist);
     }
     if snap.quiesce_skips > 0 || snap.quiesce_wakes > 0 {
-        println!(
+        outln!(
             "  quiescence: {} sweep elements skipped, {} wakes",
-            snap.quiesce_skips, snap.quiesce_wakes
-        );
+            snap.quiesce_skips,
+            snap.quiesce_wakes
+        )?;
     }
-    print!("{}", render_phase_table(&snap.phases));
-    print!(
+    out!("{}", render_phase_table(&snap.phases))?;
+    out!(
         "{}",
         render_histogram("fault-list length per node", &list_hist)
-    );
-    print!(
+    )?;
+    out!(
         "{}",
         render_histogram("event-queue depth per level", &queue_hist)
-    );
+    )
 }
 
 /// What the `sim`/`transition` driver needs beyond [`FaultModel`]: the
@@ -2111,11 +2144,11 @@ fn prepare_universe<M: CliModel>(
     let faults = match &expansion {
         Expansion::Verbatim => full(),
         Expansion::Pruned(u) => {
-            print_prune_banner(M::LABEL, &u.stats);
+            print_prune_banner(M::LABEL, &u.stats)?;
             u.sim.clone()
         }
         Expansion::Incremental { universe, .. } => {
-            print_impact_banner(M::LABEL, &universe.stats);
+            print_impact_banner(M::LABEL, &universe.stats)?;
             universe.affected.clone()
         }
     };
@@ -2179,8 +2212,8 @@ fn run_concurrent<M: CliModel>(
         snaps.extend(snap);
     }
     if tel.stats || snaps.len() > 1 {
-        println!();
-        print!("{}", render_summary_table(&snaps));
+        outln!()?;
+        out!("{}", render_summary_table(&snaps))?;
     }
     close_jsonl(jsonl, &tel.stats_json)
 }
@@ -2240,14 +2273,27 @@ fn run_variant<M: CliModel, P: RunProbe>(
     let start = Instant::now();
     let mut lo = start_at;
     let mut last = None;
+    // The block hook cannot return an error: keep the first failed
+    // progress write and end the run with it once the segment is done.
+    let mut progress_err = None;
     for end in ends {
         last = Some(sim.run_with(&patterns[lo..end], |s, done| {
-            if let Some(every) = tel.trace_every {
+            if let Some(every) = tel.trace_every.filter(|_| progress_err.is_none()) {
                 let shards: Vec<&SimMetrics> =
                     s.shard_probes().filter_map(|(p, _)| p.metrics()).collect();
-                merged_trace_progress(&shards, &mut progress, every, lo + done, uni.faults.len());
+                progress_err = merged_trace_progress(
+                    &shards,
+                    &mut progress,
+                    every,
+                    lo + done,
+                    uni.faults.len(),
+                )
+                .err();
             }
         }));
+        if let Some(e) = progress_err {
+            return Err(e.into());
+        }
         if let Some(dir) = ck.out.as_deref().filter(|_| end < patterns.len()) {
             let t = Instant::now();
             write_checkpoint_file(dir, &sim.checkpoint())?;
@@ -2262,13 +2308,13 @@ fn run_variant<M: CliModel, P: RunProbe>(
     report.patterns = patterns.len();
     report.cpu = start.elapsed();
     if let Some(dir) = ck.out.as_deref().filter(|_| written > 0) {
-        println!(
+        outln!(
             "wrote {written} checkpoint(s) to {dir} ({:.1} ms)",
             ckpt_time.as_secs_f64() * 1e3
-        );
+        )?;
     }
     uni.expansion.expand(&mut report);
-    print_report(&report);
+    print_report(&report)?;
     // Cold cross-check re-runs stay ungated on purpose: a gating bug
     // cannot mask itself from the paranoid comparison.
     verify_incremental(
@@ -2303,7 +2349,7 @@ fn run_variant<M: CliModel, P: RunProbe>(
     let metrics = || sim.shard_probes().filter_map(|(p, _)| p.metrics());
     if let Some(snap) = &snap {
         if tel.stats {
-            print_stats_detail(snap, metrics());
+            print_stats_detail(snap, metrics())?;
         }
         if let Some(w) = jsonl {
             // One shard ran the serial schedule, so its per-pattern
@@ -2345,7 +2391,7 @@ fn resume<M: FaultModel, P: Probe>(
             "{path} already covers {done} pattern(s) but this run replays only {patterns}"
         )));
     }
-    println!("resumed from {path} at pattern {done}");
+    outln!("resumed from {path} at pattern {done}")?;
     Ok(done)
 }
 
@@ -2372,8 +2418,8 @@ fn emit_basic_telemetry(
         report.cpu.as_secs_f64(),
     );
     if tel.stats {
-        println!();
-        print!("{}", render_summary_table(std::slice::from_ref(&snap)));
+        outln!()?;
+        out!("{}", render_summary_table(std::slice::from_ref(&snap)))?;
     }
     if let Some(path) = &tel.stats_json {
         let mut jsonl = open_jsonl(&tel.stats_json)?;
@@ -2387,13 +2433,13 @@ fn emit_basic_telemetry(
 }
 
 /// Prints what a `--prune` run is about to simulate.
-fn print_prune_banner(model: &str, stats: &cfs_faults::PruneStats) {
+fn print_prune_banner(model: &str, stats: &cfs_faults::PruneStats) -> io::Result<()> {
     let conflict = if stats.conflict > 0 {
         format!(", {} conflict-untestable", stats.conflict)
     } else {
         String::new()
     };
-    println!(
+    outln!(
         "pruned {} of {} {model} faults ({} unexcitable, {} unobservable{conflict}); \
          simulating {} class representatives",
         stats.pruned(),
@@ -2401,7 +2447,7 @@ fn print_prune_banner(model: &str, stats: &cfs_faults::PruneStats) {
         stats.unexcitable,
         stats.unobservable,
         stats.sim
-    );
+    )
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -2485,7 +2531,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         other => return Err(err(format!("unknown simulator {other:?}"))),
     };
-    print_report(&report);
+    print_report(&report)?;
     if let Some(path) = &par.detections {
         write_detections(path, &report.statuses)?;
     }
@@ -2631,80 +2677,80 @@ fn cmd_explain(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let timeline = FaultTimeline::collect(rec.events(), id as u32);
-    println!("fault {id}: {}", fault.describe(&c));
-    println!(
+    outln!("fault {id}: {}", fault.describe(&c))?;
+    outln!(
         "  replayed {} patterns through csim-V (gate-level, serial)",
         patterns.len()
-    );
-    println!();
+    )?;
+    outln!()?;
     const MAX_LINES: usize = 80;
     for e in timeline.events.iter().take(MAX_LINES) {
         match *e {
             TraceEvent::Divergence {
                 pattern, node, ts, ..
-            } => println!(
+            } => outln!(
                 "  pattern {pattern:>6}  +{ts:>9} µs  diverged at {}",
                 node_name(&c, node)
-            ),
+            )?,
             TraceEvent::Convergence {
                 pattern, node, ts, ..
-            } => println!(
+            } => outln!(
                 "  pattern {pattern:>6}  +{ts:>9} µs  converged at {}",
                 node_name(&c, node)
-            ),
+            )?,
             TraceEvent::Dropped {
                 pattern, node, ts, ..
-            } => println!(
+            } => outln!(
                 "  pattern {pattern:>6}  +{ts:>9} µs  dropped at {} (detected; element purged)",
                 node_name(&c, node)
-            ),
+            )?,
             TraceEvent::Detected {
                 pattern,
                 po_node,
                 ts,
                 ..
-            } => println!(
+            } => outln!(
                 "  pattern {pattern:>6}  +{ts:>9} µs  DETECTED at output {}",
                 node_name(&c, po_node)
-            ),
+            )?,
             TraceEvent::Quiescent {
                 since_pattern,
                 at_pattern,
                 ts,
                 ..
-            } => println!(
+            } => outln!(
                 "  pattern {at_pattern:>6}  +{ts:>9} µs  quiescent since pattern {since_pattern}"
-            ),
+            )?,
             _ => {}
         }
     }
     if timeline.events.len() > MAX_LINES {
-        println!("  … {} more events", timeline.events.len() - MAX_LINES);
+        outln!("  … {} more events", timeline.events.len() - MAX_LINES)?;
     }
-    println!();
+    outln!()?;
     let (div, conv) = timeline.activity_counts();
     if timeline.is_empty() {
-        println!(
+        outln!(
             "verdict: never excited in {} patterns (no fault effect entered any list)",
             patterns.len()
-        );
+        )?;
     } else if let Some((pattern, po, _)) = timeline.detection() {
-        println!(
+        outln!(
             "verdict: detected at pattern {pattern} at output {} \
              ({div} divergences, {conv} convergences)",
             node_name(&c, po)
-        );
+        )?;
     } else {
         match timeline.first_excitation() {
-            Some((p0, n0, _)) => println!(
+            Some((p0, n0, _)) => outln!(
                 "verdict: excited but never detected ({div} divergences, {conv} convergences; \
                  first recorded excitation at pattern {p0} at {})",
                 node_name(&c, n0)
-            ),
-            None => println!(
+            )?,
+            None => outln!(
                 "verdict: active but never detected \
                  ({div} divergences, {conv} convergences recorded)"
-            ),
+            )?,
         }
     }
     Ok(())
@@ -2783,23 +2829,28 @@ fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ));
         }
         out.push_str("]}");
-        println!("{out}");
+        outln!("{out}")?;
         return Ok(());
     }
-    println!(
+    outln!(
         "fault-list activity of {} ({} patterns, {} faults, {} events at {} active nodes)",
         c.name(),
         patterns.len(),
         faults.len(),
         heat.total(),
         ranked.len()
-    );
-    println!(
+    )?;
+    outln!(
         "  {:<24} {:>5} {:>10} {:>10} {:>8} {:>10}",
-        "node", "level", "diverge", "converge", "drops", "total"
-    );
+        "node",
+        "level",
+        "diverge",
+        "converge",
+        "drops",
+        "total"
+    )?;
     for (node, act) in ranked.iter().take(top) {
-        println!(
+        outln!(
             "  {:<24} {:>5} {:>10} {:>10} {:>8} {:>10}",
             node_name(&c, *node),
             c.level(GateId::from_index(*node as usize)),
@@ -2807,13 +2858,13 @@ fn cmd_heatmap(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             act.convergences,
             act.drops,
             act.total()
-        );
+        )?;
     }
     if ranked.len() > shown {
-        println!(
+        outln!(
             "  … {} more active node(s) (raise --top)",
             ranked.len() - shown
-        );
+        )?;
     }
     Ok(())
 }
@@ -2835,7 +2886,7 @@ fn cmd_atpg(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let outcome = generate_tests(&c, &faults, options);
-    println!("{outcome}");
+    outln!("{outcome}")?;
     if let Some(path) = flag_value(args, "--out") {
         let mut text = String::new();
         for p in &outcome.patterns {
@@ -2843,7 +2894,7 @@ fn cmd_atpg(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             text.push('\n');
         }
         fs::write(path, text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        println!("wrote {} patterns to {path}", outcome.patterns.len());
+        outln!("wrote {} patterns to {path}", outcome.patterns.len())?;
     }
     Ok(())
 }
@@ -2857,9 +2908,9 @@ fn cmd_generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     match flag_value(args, "--out") {
         Some(path) => {
             fs::write(path, text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-            println!("wrote {c} to {path}");
+            outln!("wrote {c} to {path}")?;
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }

@@ -1002,69 +1002,73 @@ fn impact_reports_transfer_split_in_text_and_json() {
         let affected = m.get("affected").and_then(JsonValue::as_u64).unwrap();
         let transferred = m.get("transferred").and_then(JsonValue::as_u64).unwrap();
         assert_eq!(affected + transferred, full, "{model}: {out}");
-        assert!(affected < full, "dead logic affects a strict subset: {out}");
+        assert!(
+            0 < affected && affected < full,
+            "dead logic affects a non-empty strict subset: {out}"
+        );
     }
     let findings = v.get("findings").expect("findings report");
     assert_eq!(findings.get("errors").and_then(JsonValue::as_u64), Some(0));
 }
 
 /// The full incremental loop through the binary: record a baseline, apply
-/// a scripted edit, re-simulate incrementally, and require byte-identical
-/// detections against a cold full run — for both fault models, serial and
-/// sharded, with the paranoid cross-check on.
+/// each scripted edit kind, re-simulate incrementally, and require
+/// byte-identical detections against a cold full run — for both fault
+/// models, serial and sharded, with the paranoid cross-check on.
 #[test]
 fn incremental_detections_match_cold_full_run() {
     let dir = std::env::temp_dir().join("fsim-cli-incr");
     std::fs::create_dir_all(&dir).unwrap();
     let p = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-    let edited = p("edited.bench");
-    let (ok, _, err) = fsim(&["mutate", "@s298g", "--edit", "dead-logic", "--out", &edited]);
-    assert!(ok, "{err}");
-
-    for (cmd, extra) in [("sim", Some("--uncollapsed")), ("transition", None)] {
+    let models = [("sim", Some("--uncollapsed")), ("transition", None)];
+    for (cmd, extra) in models {
         let baseline = p(&format!("{cmd}-base.json"));
         let mut args = vec![cmd, "@s298g", "--seed", "7", "--baseline-out", &baseline];
-        if let Some(f) = extra {
-            args.push(f);
-        }
+        args.extend(extra);
         let (ok, _, err) = fsim(&args);
         assert!(ok, "{cmd} baseline: {err}");
+    }
 
-        let cold = p(&format!("{cmd}-cold.txt"));
-        let mut args = vec![cmd, edited.as_str(), "--seed", "7", "--detections", &cold];
-        if let Some(f) = extra {
-            args.push(f);
-        }
-        let (ok, _, err) = fsim(&args);
-        assert!(ok, "{cmd} cold: {err}");
+    for edit in ["retype", "rewire", "dead-logic"] {
+        let edited = p(&format!("edited-{edit}.bench"));
+        let (ok, _, err) = fsim(&["mutate", "@s298g", "--edit", edit, "--out", &edited]);
+        assert!(ok, "{edit}: {err}");
+        for (cmd, extra) in models {
+            let baseline = p(&format!("{cmd}-base.json"));
+            let cold = p(&format!("{cmd}-{edit}-cold.txt"));
+            let mut args = vec![cmd, edited.as_str(), "--seed", "7", "--detections", &cold];
+            args.extend(extra);
+            let (ok, _, err) = fsim(&args);
+            assert!(ok, "{cmd} {edit} cold: {err}");
 
-        for threads in ["1", "4"] {
-            let incr = p(&format!("{cmd}-incr-{threads}.txt"));
-            let (ok, out, err) = fsim(&[
-                cmd,
-                &edited,
-                "--seed",
-                "7",
-                "--incremental",
-                "--baseline-report",
-                &baseline,
-                "--threads",
-                threads,
-                "--paranoid",
-                "--detections",
-                &incr,
-            ]);
-            assert!(ok, "{cmd} incremental t{threads}: {err}");
-            assert!(out.contains("incremental:"), "{out}");
-            assert!(
-                out.contains("paranoid: all") && out.contains("agree with a cold full re-run"),
-                "{out}"
-            );
-            assert_eq!(
-                std::fs::read(&cold).unwrap(),
-                std::fs::read(&incr).unwrap(),
-                "{cmd} t{threads}: incremental detections must be byte-identical"
-            );
+            for threads in ["1", "4"] {
+                let incr = p(&format!("{cmd}-{edit}-incr-{threads}.txt"));
+                let (ok, out, err) = fsim(&[
+                    cmd,
+                    &edited,
+                    "--seed",
+                    "7",
+                    "--incremental",
+                    "--baseline-report",
+                    &baseline,
+                    "--threads",
+                    threads,
+                    "--paranoid",
+                    "--detections",
+                    &incr,
+                ]);
+                assert!(ok, "{cmd} {edit} incremental t{threads}: {err}");
+                assert!(out.contains("incremental:"), "{out}");
+                assert!(
+                    out.contains("paranoid: all") && out.contains("agree with a cold full re-run"),
+                    "{out}"
+                );
+                assert_eq!(
+                    std::fs::read(&cold).unwrap(),
+                    std::fs::read(&incr).unwrap(),
+                    "{cmd} {edit} t{threads}: incremental detections must be byte-identical"
+                );
+            }
         }
     }
 }
@@ -1178,4 +1182,36 @@ fn checkpoint_and_resume_match_cold_runs() {
         );
         assert!(err.contains("K002"), "{err}");
     }
+}
+
+/// A reader that closes the pipe early (`fsim … | head -1`) ends the run
+/// quietly: exit 0, no panic message. The progress lines total about
+/// 120 KB, more than a pipe buffer holds, so a write always hits the
+/// closed pipe.
+#[test]
+fn closed_stdout_pipe_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fsim"))
+        .args(["sim", "@s298g", "--random", "2048", "--trace-every", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("fsim binary runs");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.contains("pattern"), "{line}");
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(status.code(), Some(0), "{err}");
 }

@@ -14,8 +14,10 @@
 //! Serialization is a hand-rolled versioned little-endian binary format
 //! (the workspace builds without crates.io access, so no serde): magic
 //! `CFSK`, a version word, a configuration fingerprint that
-//! [`Checkpoint::restore_into`] validates against the target engine, then
-//! the state arrays.
+//! [`Checkpoint::restore_into`] validates against the target engine, the
+//! state arrays, and a trailing FNV-1a-64 checksum over every preceding
+//! byte. A flipped bit anywhere fails decoding rather than resuming into
+//! state that passes the range checks but differs from what was captured.
 
 use cfs_logic::Logic;
 use cfs_telemetry::Probe;
@@ -106,7 +108,10 @@ impl std::error::Error for CheckpointError {}
 const UNDETECTED: u32 = u32::MAX;
 
 const MAGIC: [u8; 4] = *b"CFSK";
-const VERSION: u32 = 1;
+/// Version 2 added the trailing checksum; version 1 files are refused.
+const VERSION: u32 = 2;
+/// Width of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
 
 /// A complete pattern-boundary snapshot of one engine's simulation state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -345,6 +350,8 @@ impl Checkpoint {
         for &node in &self.pending {
             put_u32(&mut out, node);
         }
+        let sum = fnv1a64(&out);
+        put_u64(&mut out, sum);
         out
     }
 
@@ -353,7 +360,8 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns [`CheckpointError::Corrupt`] on bad magic, an unsupported
-    /// version, truncation, trailing bytes, or out-of-range values.
+    /// version, a checksum mismatch, truncation, trailing bytes, or
+    /// out-of-range values.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(4)? != MAGIC {
@@ -365,6 +373,14 @@ impl Checkpoint {
                 "unsupported version {version} (expected {VERSION})"
             )));
         }
+        let Some(body_len) = bytes.len().checked_sub(CHECKSUM_LEN) else {
+            return Err(CheckpointError::corrupt("truncated checkpoint"));
+        };
+        let (body, sum) = bytes.split_at(body_len);
+        if fnv1a64(body).to_le_bytes() != sum {
+            return Err(CheckpointError::corrupt("checksum mismatch"));
+        }
+        r.bytes = body;
         let model = Model::from_code(r.u8()?)?;
         let split = r.u8()? != 0;
         let drop_detected = r.u8()? != 0;
@@ -403,10 +419,10 @@ impl Checkpoint {
             }
             pending.push(node);
         }
-        if r.pos != bytes.len() {
+        if r.pos != r.bytes.len() {
             return Err(CheckpointError::corrupt(format!(
                 "{} trailing bytes",
-                bytes.len() - r.pos
+                r.bytes.len() - r.pos
             )));
         }
         Ok(Checkpoint {
@@ -442,6 +458,13 @@ fn decode_logic(code: u8) -> Result<Logic, CheckpointError> {
         )));
     }
     Ok(Logic::from_code(code))
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -636,5 +659,29 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Checkpoint::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_every_single_bit_flip() {
+        let c = s27();
+        let faults = collapse_stuck_at(&c).representatives;
+        let mut sim = ConcurrentSim::new(&c, &faults, CsimVariant::Mv.options());
+        for p in patterns(12) {
+            sim.step(&p);
+        }
+        let bytes = sim.checkpoint().to_bytes();
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    Checkpoint::from_bytes(&flipped),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "flip of bit {bit} was accepted"
+            );
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(Checkpoint::from_bytes(&flipped).is_ok());
     }
 }

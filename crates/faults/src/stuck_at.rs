@@ -335,8 +335,8 @@ impl UnionFind {
 /// *implication*, not an identity — the dominator's first-detection pattern
 /// is not recoverable, and the rule is only sound combinationally (in a
 /// sequential circuit the two faulty machines accumulate different state
-/// histories). It is exposed as an analysis artifact with an explicit
-/// expansion map, and is **not** used by the bit-exact `--prune` path.
+/// histories). It is exposed as an analysis artifact, and is **not** used by
+/// the bit-exact `--prune` path.
 #[derive(Debug, Clone)]
 pub struct DominanceCollapse {
     /// The exact equivalence collapse the dominance edges are built over.
@@ -350,35 +350,6 @@ pub struct DominanceCollapse {
 }
 
 impl DominanceCollapse {
-    /// Expands per-class detection flags: marks every dropped dominator
-    /// detected when any class it dominates is detected (iterated to a
-    /// fixpoint so chains of dominators resolve).
-    ///
-    /// The result is a *lower bound* on the true detected set — a dominator
-    /// may also be detected by tests that detect none of its dominated
-    /// faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detected.len()` differs from the number of classes.
-    pub fn expand_detected(&self, detected: &[bool]) -> Vec<bool> {
-        assert_eq!(detected.len(), self.base.num_classes());
-        let mut out = detected.to_vec();
-        loop {
-            let mut changed = false;
-            for &(dominator, dominated) in &self.edges {
-                if out[dominated as usize] && !out[dominator as usize] {
-                    out[dominator as usize] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        out
-    }
-
     /// Number of dominator classes dropped from the target list.
     pub fn dropped(&self) -> usize {
         self.base.num_classes() - self.kept.len()
@@ -577,13 +548,6 @@ mod tests {
         };
         assert!(dom.edges.iter().all(|&(d, _)| d == y_sa1_class));
         assert!(!dom.kept.contains(&y_sa1_class));
-        // Expansion: detecting either input fault implies the output fault.
-        let mut detected = vec![false; 4];
-        let (_, dominated0) = dom.edges[0];
-        detected[dominated0 as usize] = true;
-        let expanded = dom.expand_detected(&detected);
-        assert!(expanded[y_sa1_class as usize]);
-        assert_eq!(expanded.iter().filter(|&&d| d).count(), 2);
     }
 
     #[test]

@@ -263,25 +263,6 @@ impl<'c> DelaySim<'c> {
         Some(last)
     }
 
-    /// Like [`DelaySim::run_until_quiet`], sampling the recorder after every
-    /// processed time step so the full waveform (including glitches) is
-    /// captured.
-    pub fn run_traced(&mut self, max_time: u64, recorder: &mut crate::VcdRecorder) -> Option<u64> {
-        let mut last = self.wheel.now;
-        while let Some((t, batch)) = self.wheel.next_batch() {
-            if t > max_time {
-                for ev in batch {
-                    self.wheel.schedule(ev);
-                }
-                return None;
-            }
-            self.apply_batch(t, batch);
-            recorder.sample(t, &self.values);
-            last = t;
-        }
-        Some(last)
-    }
-
     /// Processes all events strictly before `time`, then advances the clock
     /// to exactly `time` (pending later events remain queued).
     pub fn advance_to(&mut self, time: u64) {

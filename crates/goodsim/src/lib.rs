@@ -4,24 +4,31 @@
 //! Part of the workspace reproducing *Lee & Reddy, DAC 1992*. Two
 //! simulators share the netlist substrate:
 //!
-//! * [`ZeroDelaySim`] — the paper's zero-delay levelized event-driven model
-//!   (one step = one clock cycle), plus the oracle-grade [`FullSim`];
+//! * [`FullSim`] — the paper's zero-delay model (one step = one clock
+//!   cycle), evaluating every gate in level order; the oracle other
+//!   simulators are checked against;
 //! * [`DelaySim`] — arbitrary-delay two-phase event-driven simulation with a
 //!   timing wheel, the general mode concurrent simulation is prized for.
 //!
 //! # Examples
 //!
 //! ```
-//! use cfs_goodsim::ZeroDelaySim;
+//! use cfs_goodsim::{DelayModel, DelaySim, FullSim};
 //! use cfs_logic::parse_pattern;
 //! use cfs_netlist::data::s27;
 //!
 //! let circuit = s27();
-//! let mut sim = ZeroDelaySim::new(&circuit);
+//! let mut full = FullSim::new(&circuit);
+//! let mut delay = DelaySim::new(&circuit, DelayModel::unit(&circuit));
 //! for p in ["0000", "1111", "0011"] {
-//!     sim.step(&parse_pattern(p)?);
+//!     let p = parse_pattern(p)?;
+//!     let zero_delay = full.step(&p);
+//!     delay.set_inputs(&p);
+//!     delay.run_until_quiet(1_000).expect("settles");
+//!     assert_eq!(delay.value(circuit.outputs()[0]), zero_delay[0]);
+//!     delay.clock();
+//!     delay.run_until_quiet(1_000).expect("clock-to-q settles");
 //! }
-//! assert_eq!(sim.state().len(), 3);
 //! # Ok::<(), cfs_logic::ParseLogicError>(())
 //! ```
 
@@ -29,9 +36,7 @@
 #![forbid(unsafe_code)]
 
 mod delay;
-mod vcd;
 mod zero_delay;
 
 pub use delay::{DelayModel, DelaySim};
-pub use vcd::VcdRecorder;
-pub use zero_delay::{is_source, FullSim, Pattern, ZeroDelaySim};
+pub use zero_delay::{FullSim, Pattern};

@@ -27,7 +27,6 @@ pub mod data;
 mod edit;
 pub mod generate;
 mod macros;
-mod scan;
 
 pub use bench::{
     parse_bench, parse_bench_with_provenance, write_bench, BenchProvenance, ParseBenchError,
@@ -41,4 +40,3 @@ pub use generate::{benchmark, benchmark_spec, CircuitSpec, ISCAS89_SPECS};
 pub use macros::{
     extract_macros, MacroCell, MacroCircuit, MacroFaultSite, DEFAULT_MACRO_MAX_INPUTS,
 };
-pub use scan::{full_scan_view, ScanView};
